@@ -8,7 +8,7 @@
 //! [--serving] [--hotpath] [--dataflow] [--memlayout] [--trace] [--batching]
 //! [--rns] [--chaos]`
 //!
-//! `--threads N` sets the wavefront worker count of the parallel runtime
+//! `--threads N` sets the dataflow worker count of the parallel runtime
 //! comparison (default 4); `--parallel-only` skips the RL-vs-Coyote portion
 //! (no agent training) and only produces the parallel comparison;
 //! `--serving` instead measures amortized per-request latency under session
@@ -151,11 +151,11 @@ fn main() {
         chehab_bench::summarize_vs_baseline(&measurements, "CHEHAB RL", "Coyote");
     }
 
-    // --- Parallel runtime: sequential vs wavefront execution. The raw
+    // --- Parallel runtime: sequential vs multi-worker execution. The raw
     // (Initial) circuits have the widest levels, the greedy-vectorized
     // circuits are the production configuration; both are recorded.
     println!(
-        "\n== Parallel runtime: sequential vs {} wavefront threads ({} host CPUs; projected \
+        "\n== Parallel runtime: sequential vs {} dataflow threads ({} host CPUs; projected \
          speedup uses measured per-op latencies)",
         config.threads,
         chehab_bench::available_cpus()
@@ -437,7 +437,7 @@ fn trace_comparison(config: &HarnessConfig) {
             .unwrap_or_else(|e| panic!("{}: session construction failed: {e}", benchmark.id())),
     );
     let sink = Arc::new(chehab_core::TraceSink::new());
-    let engine = session.serve_traced(&ExecOptions::sequential(), Some(Arc::clone(&sink)));
+    let engine = session.serve_resilient(&ExecOptions::sequential(), Some(Arc::clone(&sink)), None);
     let input_sets: Vec<std::collections::HashMap<String, i64>> = (0..config.requests.max(1))
         .map(|seed| {
             benchmark
@@ -794,8 +794,8 @@ fn hotpath_comparison(config: &HarnessConfig) {
 }
 
 /// The `--serving` mode: amortized per-request latency of one persistent
-/// `FheSession` + `ServingEngine` versus the historical per-call rebuild
-/// shim, per kernel, written to `BENCH_serving.json`.
+/// `FheSession` + `ServingEngine` versus a throwaway session per call, per
+/// kernel, written to `BENCH_serving.json`.
 fn serving_comparison(config: &HarnessConfig) {
     let params = config.params();
     println!(

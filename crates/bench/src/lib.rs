@@ -339,8 +339,8 @@ pub struct ParallelMeasurement {
     /// Projected `threads`-worker makespan (ms) of the leveled schedule,
     /// computed from measured per-instruction latencies
     /// ([`chehab_core::CompiledProgram::schedule`] +
-    /// `Schedule::makespan`) — what the wavefront runtime delivers once the
-    /// host has that many free cores.
+    /// `Schedule::makespan`) — what a level-synchronized run would deliver
+    /// once the host has that many free cores.
     pub projected_parallel_ms: f64,
     /// Sequential sum of the same measured per-instruction latencies (ms),
     /// the numerator of the projected speedup.
@@ -348,7 +348,7 @@ pub struct ParallelMeasurement {
     /// `compute_ms / projected_parallel_ms`: the timer-augmented speedup of
     /// the schedule at `threads` workers.
     pub speedup: f64,
-    /// Wavefront levels of the schedule (critical-path length).
+    /// Topological levels of the schedule (critical-path length).
     pub schedule_levels: usize,
     /// Widest level (available intra-request parallelism).
     pub schedule_width: usize,
@@ -357,7 +357,7 @@ pub struct ParallelMeasurement {
 }
 
 /// Measures one benchmark under one compiler, sequentially and with the
-/// parallel wavefront runtime, reporting median times over `runs`.
+/// multi-worker dataflow executor, reporting median times over `runs`.
 pub fn measure_parallel(
     benchmark: &Benchmark,
     compiler: &CompilerUnderTest,
@@ -515,8 +515,8 @@ pub fn write_parallel_json(
 
 /// One session-reuse vs per-call-rebuild serving comparison of a kernel.
 ///
-/// "Rebuild" is the historical shim path: every request pays key generation
-/// and schedule lowering again ([`CompiledProgram::execute`]). "Serving" is
+/// "Rebuild" is a throwaway session per request: every request pays key
+/// generation and schedule lowering again. "Serving" is
 /// the session path: one [`chehab_core::FheSession`] built up front, then
 /// every request submitted through a persistent
 /// [`chehab_runtime::ServingEngine`].
@@ -559,7 +559,7 @@ pub struct ServingMeasurement {
 
 /// Measures one kernel's amortized per-request latency under session reuse
 /// (one [`chehab_core::FheSession`] + serving engine) versus per-call
-/// rebuild (the [`CompiledProgram::execute`] shim), with medians over `runs`
+/// rebuild (a throwaway session per request), with medians over `runs`
 /// passes of `requests` requests each.
 pub fn measure_serving(
     benchmark: &Benchmark,
@@ -622,7 +622,8 @@ pub fn measure_serving(
         let started = Instant::now();
         for (inputs, expected) in input_sets.iter().zip(&reuse_outputs) {
             let report = compiled
-                .execute(inputs, params)
+                .session(params)
+                .and_then(|session| session.run(inputs))
                 .unwrap_or_else(|e| panic!("{}: per-call execution failed: {e}", benchmark.id()));
             if run == 0 {
                 assert_eq!(
@@ -750,8 +751,8 @@ pub fn write_serving_json(
             "speedup_semantics".into(),
             Value::Str(
                 "wall_amortized_speedup = rebuild_wall_ms / serving_wall_ms: measured total wall \
-                 time of serving `requests` requests with a throwaway session per call (the \
-                 historical execute shim) over one persistent FheSession + ServingEngine; \
+                 time of serving `requests` requests with a throwaway session per call over \
+                 one persistent FheSession + ServingEngine; \
                  reuse_wins counts kernels where this measured ratio exceeds 1.0. \
                  amortized_speedup = (setup + request) / (setup/requests + request) from median \
                  measured component times quantifies the magnitude of the saving (it exceeds 1.0 \
@@ -1102,7 +1103,7 @@ pub struct DataflowMeasurement {
     pub benchmark: String,
     /// Workers of the dataflow/leveled projections and the threaded runs.
     pub threads: usize,
-    /// Median sequential (1-worker, leveled) per-request wall now, ms —
+    /// Median sequential (1-worker) per-request wall now, ms —
     /// the same quantity `BENCH_hotpath.json` records.
     pub sequential_request_ms: f64,
     /// Median sequential server-side (scheduled-execution) time, ms.

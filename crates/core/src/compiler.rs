@@ -193,7 +193,8 @@ mod tests {
 
         let bindings = bindings_for(&program);
         let report = compiled
-            .execute(&bindings, &BfvParameters::insecure_test())
+            .session(&BfvParameters::insecure_test())
+            .and_then(|session| session.run(&bindings))
             .unwrap();
         assert!(report.decryption_ok);
         assert_eq!(report.outputs[0], reference_output(&program, &bindings)[0]);
@@ -208,7 +209,8 @@ mod tests {
 
         let bindings = bindings_for(&program);
         let report = compiled
-            .execute(&bindings, &BfvParameters::insecure_test())
+            .session(&BfvParameters::insecure_test())
+            .and_then(|session| session.run(&bindings))
             .unwrap();
         assert_eq!(
             report.outputs,
@@ -223,8 +225,14 @@ mod tests {
         let optimized = Compiler::greedy().compile("greedy", &program);
         let bindings = bindings_for(&program);
         let params = BfvParameters::insecure_test();
-        let naive_report = naive.execute(&bindings, &params).unwrap();
-        let optimized_report = optimized.execute(&bindings, &params).unwrap();
+        let naive_report = naive
+            .session(&params)
+            .and_then(|session| session.run(&bindings))
+            .unwrap();
+        let optimized_report = optimized
+            .session(&params)
+            .and_then(|session| session.run(&bindings))
+            .unwrap();
         assert_eq!(naive_report.outputs[0], optimized_report.outputs[0]);
         assert!(
             optimized_report.operation_stats.total() < naive_report.operation_stats.total(),

@@ -6,15 +6,12 @@
 //! plus the rotation-key plan and the input-layout decision. Execution is
 //! organized around long-lived serving state: [`CompiledProgram::session`]
 //! builds an [`FheSession`] **once** — FHE context, public/relin/Galois
-//! keys, and the leveled instruction [`Schedule`] — and every request after
-//! that only pays for encryption, wavefront evaluation and decryption
-//! ([`FheSession::run`] / [`FheSession::run_parallel`] /
-//! [`FheSession::run_batch`]). An `Arc`'d session feeds
-//! [`FheSession::serve`], the persistent request-queue front end backed by
-//! [`chehab_runtime::ServingEngine`]. The historical one-shot entry points
-//! ([`CompiledProgram::execute`], [`CompiledProgram::execute_parallel`],
-//! [`CompiledProgram::execute_batch`]) survive as thin convenience shims that
-//! build a throwaway session per call.
+//! keys, and the instruction [`Schedule`] — and every request after that
+//! only pays for encryption, dataflow evaluation and decryption
+//! ([`FheSession::run`] / [`FheSession::run_parallel`]). An `Arc`'d session
+//! feeds [`FheSession::serve`], the persistent request-queue front end backed
+//! by [`chehab_runtime::ServingEngine`]. One-shot callers write
+//! `compiled.session(&params)?.run(&inputs)`.
 //!
 //! Plaintext-only subcircuits are computed on the client side (they never
 //! touch ciphertexts), and packed vector inputs are either packed by the
@@ -28,11 +25,11 @@ use chehab_fhe::{
 };
 use chehab_ir::{BinOp, CircuitDag, CircuitSummary, CostModel, DagNode, DataKind, Expr, Ty};
 use chehab_runtime::{
-    data_kinds, default_workers, lane_geometry, BatchExecutor, BatchPolicy, CalibratedCostModel,
-    CancellationToken, CoalescerConfig, Counter, DataflowExecutor, ExecResources, FaultPlan, Gauge,
-    LaneGeometry, MetricsRegistry, Register, RequestCoalescer, ResilienceSnapshot, ResilienceStats,
-    Schedule, SchedulerKind, SchedulerMetrics, ServingConfig, ServingEngine, SpanEvent,
-    TimingBreakdown, Trace, TraceSink, WavefrontExecutor, WavefrontOutcome, DEFAULT_QUEUE_CAPACITY,
+    data_kinds, default_workers, lane_geometry, BatchPolicy, CalibratedCostModel,
+    CancellationToken, CoalescerConfig, Counter, DataflowExecutor, ExecOutcome, ExecResources,
+    FaultPlan, Gauge, LaneGeometry, MetricsRegistry, Register, RequestCoalescer,
+    ResilienceSnapshot, ResilienceStats, Schedule, SchedulerMetrics, ServingConfig, ServingEngine,
+    SpanEvent, TimingBreakdown, Trace, TraceSink, DEFAULT_QUEUE_CAPACITY,
 };
 use coyote_baseline::LaneAssignment;
 use std::collections::HashMap;
@@ -61,40 +58,9 @@ pub struct CompileStats {
     pub summary_after: CircuitSummary,
 }
 
-/// Per-request parallelism options of [`CompiledProgram::execute_batch`].
-///
-/// Kept for source compatibility with the pre-session API; new code should
-/// use [`ExecOptions`], which carries the same two knobs plus the serving
-/// queue bound (`BatchOptions` converts losslessly via `From`).
-#[derive(Debug, Clone, Copy)]
-pub struct BatchOptions {
-    /// Worker threads at the request level (how many input sets execute
-    /// concurrently).
-    pub request_threads: usize,
-    /// Worker threads inside each request's wavefront execution.
-    ///
-    /// The useful total is `request_threads * threads_per_request <=`
-    /// available cores; deep, narrow circuits profit from request-level
-    /// workers, wide circuits from wavefront workers.
-    pub threads_per_request: usize,
-}
-
-impl Default for BatchOptions {
-    /// Request workers default to the host's
-    /// [`std::thread::available_parallelism`], clamped to `[1, 8]` (see
-    /// [`chehab_runtime::default_workers`]) — a 1-CPU host gets one worker
-    /// instead of four oversubscribed ones.
-    fn default() -> Self {
-        BatchOptions {
-            request_threads: default_workers(),
-            threads_per_request: 1,
-        }
-    }
-}
-
-/// Unified execution options of the session API: the two worker-count knobs
-/// that used to be scattered across `threads` parameters and
-/// [`BatchOptions`], plus the serving queue bound, behind one builder.
+/// Unified execution options of the session API: the two worker-count knobs,
+/// the serving queue bound, batching and the serving deadline, behind one
+/// builder.
 ///
 /// ```
 /// use chehab_core::ExecOptions;
@@ -107,26 +73,17 @@ impl Default for BatchOptions {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Worker threads at the request level: the [`BatchExecutor`] pool of
-    /// [`FheSession::run_batch`] and the persistent worker threads of
-    /// [`FheSession::serve`]. Defaults to the host's
+    /// Worker threads at the request level: the persistent worker threads
+    /// of [`FheSession::serve`]. Defaults to the host's
     /// [`std::thread::available_parallelism`], clamped to `[1, 8]`.
     pub request_threads: usize,
-    /// Worker threads inside each request's scheduled execution (1 = run
-    /// each request sequentially; more helps schedules with instruction-level
+    /// Dataflow workers inside each request's execution (1 = run each
+    /// request sequentially; more helps schedules with instruction-level
     /// parallelism).
     pub threads_per_request: usize,
     /// Bound of the serving queue of [`FheSession::serve`]: `submit` blocks
     /// while this many requests are already queued.
     pub queue_capacity: usize,
-    /// The intra-request scheduling discipline: barrier-free
-    /// [`SchedulerKind::Dataflow`] (the default — instructions run the
-    /// instant their operands are written, ordered by calibrated
-    /// critical-path priority) or the level-synchronized
-    /// [`SchedulerKind::Leveled`] wavefront. Outputs are bit-identical
-    /// either way; only the wall-clock and the timing breakdown shape
-    /// differ.
-    pub scheduler: SchedulerKind,
     /// Cross-request SIMD batching policy of [`FheSession::run_batched`] and
     /// [`FheSession::serve_batched`]: when set, compatible requests are
     /// coalesced into the slot lanes of shared ciphertexts and the program
@@ -153,7 +110,6 @@ impl Default for ExecOptions {
             request_threads: default_workers(),
             threads_per_request: 1,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            scheduler: SchedulerKind::default(),
             batching: None,
             deadline: None,
             shed_infeasible: false,
@@ -183,7 +139,7 @@ impl ExecOptions {
         self
     }
 
-    /// Sets the per-request wavefront worker count (clamped to at least 1).
+    /// Sets the per-request dataflow worker count (clamped to at least 1).
     pub fn with_threads_per_request(mut self, threads: usize) -> Self {
         self.threads_per_request = threads.max(1);
         self
@@ -192,12 +148,6 @@ impl ExecOptions {
     /// Sets the serving queue bound (clamped to at least 1).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Selects the intra-request scheduling discipline.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -220,16 +170,6 @@ impl ExecOptions {
     pub fn with_shed_infeasible(mut self, shed: bool) -> Self {
         self.shed_infeasible = shed;
         self
-    }
-}
-
-impl From<BatchOptions> for ExecOptions {
-    fn from(options: BatchOptions) -> Self {
-        ExecOptions {
-            request_threads: options.request_threads.max(1),
-            threads_per_request: options.threads_per_request.max(1),
-            ..ExecOptions::default()
-        }
     }
 }
 
@@ -329,8 +269,8 @@ impl CompiledProgram {
     }
 
     /// Builds the long-lived serving state of this program under `params`:
-    /// FHE context, public/relinearization/Galois keys, the leveled
-    /// instruction schedule, and a cumulative timing calibration. Key
+    /// FHE context, public/relinearization/Galois keys, the instruction
+    /// schedule, and a cumulative timing calibration. Key
     /// generation and schedule lowering happen exactly once here, no matter
     /// how many requests the session serves afterwards.
     ///
@@ -340,76 +280,6 @@ impl CompiledProgram {
     /// packing-fallback encryption fails.
     pub fn session(&self, params: &BfvParameters) -> Result<FheSession, FheError> {
         FheSession::new(self, params)
-    }
-
-    /// Executes the program on the BFV backend, sequentially.
-    ///
-    /// `inputs` binds every scalar input variable to its clear value.
-    ///
-    /// Convenience shim: builds a throwaway [`FheSession`] and runs one
-    /// request, paying key generation and schedule lowering per call. Loops
-    /// and serving paths should hold a session and use [`FheSession::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`FheError`] for missing Galois keys or other backend
-    /// failures; an exhausted noise budget is *not* an error and is reported
-    /// through [`ExecutionReport::decryption_ok`].
-    pub fn execute(
-        &self,
-        inputs: &HashMap<String, i64>,
-        params: &BfvParameters,
-    ) -> Result<ExecutionReport, FheError> {
-        self.session(params)?.run(inputs)
-    }
-
-    /// Executes the program with `threads` workers running the schedule's
-    /// independent operations concurrently through the default (dataflow)
-    /// scheduler — an operation starts the instant its operands are written.
-    ///
-    /// The result is bit-identical to [`CompiledProgram::execute`]: every
-    /// homomorphic operation is a pure function of its operands, so only the
-    /// wall-clock changes.
-    ///
-    /// Convenience shim over [`FheSession::run_parallel`] (one throwaway
-    /// session per call).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CompiledProgram::execute`].
-    pub fn execute_parallel(
-        &self,
-        inputs: &HashMap<String, i64>,
-        params: &BfvParameters,
-        threads: usize,
-    ) -> Result<ExecutionReport, FheError> {
-        self.session(params)?.run_parallel(
-            inputs,
-            &ExecOptions::sequential().with_threads_per_request(threads),
-        )
-    }
-
-    /// Executes the program once per input set, in parallel across requests
-    /// (and, optionally, across each request's wavefront): the two-level
-    /// serving configuration. Keys, Galois keys and the instruction schedule
-    /// are generated once and shared by every request.
-    ///
-    /// Results are returned in input order.
-    ///
-    /// Convenience shim over [`FheSession::run_batch`] (one throwaway
-    /// session per call; the session outlives only this batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`FheError`] any request hit.
-    pub fn execute_batch(
-        &self,
-        input_sets: &[HashMap<String, i64>],
-        params: &BfvParameters,
-        options: &BatchOptions,
-    ) -> Result<Vec<ExecutionReport>, FheError> {
-        self.session(params)?
-            .run_batch(input_sets, &ExecOptions::from(*options))
     }
 }
 
@@ -426,15 +296,16 @@ pub struct SessionStats {
     /// with run-time packing, encrypting the packing-fallback zero
     /// ciphertext — paid at [`CompiledProgram::session`] time, never again.
     pub keygen_time: Duration,
-    /// One-time cost of lowering the circuit DAG into the leveled
-    /// instruction schedule.
+    /// One-time cost of lowering the circuit DAG into the instruction
+    /// schedule.
     pub lowering_time: Duration,
     /// Requests served through this session so far (across `run`,
-    /// `run_parallel`, `run_batch` and the serving engine).
+    /// `run_parallel`, `run_batched` and the serving front doors).
     pub requests_served: u64,
     /// Galois keys held by the session.
     pub galois_key_count: usize,
-    /// Wavefront levels of the session's schedule.
+    /// Topological levels of the session's schedule (its critical-path
+    /// length in instructions).
     pub schedule_levels: usize,
     /// Widest schedule level (the intra-request parallelism bound).
     pub schedule_width: usize,
@@ -559,15 +430,23 @@ fn session_span(
 }
 
 /// Everything one compiled program shares across executions under fixed
-/// parameters: FHE context, key material, the leveled schedule, and a
+/// parameters: FHE context, key material, the instruction schedule, and a
 /// cumulative timing calibration.
 ///
 /// A session is built **once** per `(program, parameters)` pair by
 /// [`CompiledProgram::session`]; every request served through it afterwards
-/// pays only for input encryption, wavefront evaluation and decryption —
-/// key generation and schedule lowering never rerun. Sessions are `Sync`:
-/// [`FheSession::run_batch`] shares one across a request pool, and
-/// [`FheSession::serve`] parks one behind a persistent request queue.
+/// pays only for input encryption, evaluation and decryption — key
+/// generation and schedule lowering never rerun.
+///
+/// Every request runs through one executor, the
+/// [`DataflowExecutor`](chehab_runtime::DataflowExecutor):
+/// [`FheSession::run`] with one worker (the sequential baseline),
+/// [`FheSession::run_parallel`] with `threads_per_request` workers, and
+/// [`FheSession::serve`] — an `Arc`'d session parked behind a persistent
+/// request queue — with `request_threads` requests in flight at once.
+/// Outputs are bit-identical across all of them. [`FheSession::run_batched`]
+/// and [`FheSession::serve_batched`] pack several users into the slot lanes
+/// of shared ciphertexts instead.
 ///
 /// ```
 /// use chehab_core::{Compiler, DslProgram};
@@ -787,46 +666,43 @@ impl FheSession {
     }
 
     /// Serves one request sequentially: client-side binding, the timed
-    /// (leveled, single-worker) execution, and decryption. This is the
-    /// stable measurement baseline; [`FheSession::run_parallel`] is
-    /// bit-identical at every worker count and scheduler.
+    /// one-worker dataflow execution, and decryption. This is the stable
+    /// measurement baseline; [`FheSession::run_parallel`] is bit-identical
+    /// at every worker count.
+    ///
+    /// `inputs` binds every scalar input variable to its clear value;
+    /// missing inputs default to zero.
     ///
     /// # Errors
     ///
-    /// Same contract as [`CompiledProgram::execute`].
+    /// Returns an [`FheError`] for missing Galois keys or other backend
+    /// failures; an exhausted noise budget is *not* an error and is reported
+    /// through [`ExecutionReport::decryption_ok`].
     pub fn run(&self, inputs: &HashMap<String, i64>) -> Result<ExecutionReport, FheError> {
-        self.run_with_options(inputs, 1, SchedulerKind::Leveled, None, None, None)
+        self.run_with_options(inputs, 1, None, None, None)
     }
 
-    /// Serves one request with `options.threads_per_request` workers under
-    /// `options.scheduler` — by default the barrier-free dataflow executor
-    /// with critical-path priorities recomputed from the session's
-    /// accumulated calibration. Results are bit-identical to
-    /// [`FheSession::run`] at every worker count and scheduler.
+    /// Serves one request with `options.threads_per_request` dataflow
+    /// workers, ready instructions ordered by critical-path priorities
+    /// recomputed from the session's accumulated calibration. Results are
+    /// bit-identical to [`FheSession::run`] at every worker count.
     ///
     /// # Errors
     ///
-    /// Same contract as [`CompiledProgram::execute`].
+    /// Same contract as [`FheSession::run`].
     pub fn run_parallel(
         &self,
         inputs: &HashMap<String, i64>,
         options: &ExecOptions,
     ) -> Result<ExecutionReport, FheError> {
-        self.run_with_options(
-            inputs,
-            options.threads_per_request,
-            options.scheduler,
-            None,
-            None,
-            None,
-        )
+        self.run_with_options(inputs, options.threads_per_request, None, None, None)
     }
 
     /// Serves one request like [`FheSession::run_parallel`] under an
     /// external [`CancellationToken`] and an optional deterministic
     /// [`FaultPlan`]: the token (and the plan's own faults) are checked at
     /// **every instruction dispatch**, so cancelling the token — or its
-    /// deadline expiring — stops the executors from scheduling any further
+    /// deadline expiring — stops the executor from scheduling any further
     /// instruction, releases the request's registers and arena buffers back
     /// to the session pool, and returns
     /// [`FheError::Cancelled`](chehab_fhe::FheError::Cancelled) /
@@ -838,7 +714,7 @@ impl FheSession {
     ///
     /// # Errors
     ///
-    /// Same contract as [`CompiledProgram::execute`], plus the
+    /// Same contract as [`FheSession::run`], plus the
     /// cancellation/deadline/panic variants above.
     pub fn run_resilient(
         &self,
@@ -847,14 +723,7 @@ impl FheSession {
         cancel: Option<&CancellationToken>,
         faults: Option<&FaultPlan>,
     ) -> Result<ExecutionReport, FheError> {
-        self.run_with_options(
-            inputs,
-            options.threads_per_request,
-            options.scheduler,
-            None,
-            cancel,
-            faults,
-        )
+        self.run_with_options(inputs, options.threads_per_request, None, cancel, faults)
     }
 
     /// Serves one request exactly like [`FheSession::run_parallel`] while
@@ -871,59 +740,22 @@ impl FheSession {
     ///
     /// # Errors
     ///
-    /// Same contract as [`CompiledProgram::execute`].
+    /// Same contract as [`FheSession::run`].
     pub fn trace_request(
         &self,
         inputs: &HashMap<String, i64>,
         options: &ExecOptions,
     ) -> Result<(ExecutionReport, Trace), FheError> {
         let sink = TraceSink::new();
-        let report = self.run_with_options(
-            inputs,
-            options.threads_per_request,
-            options.scheduler,
-            Some(&sink),
-            None,
-            None,
-        )?;
+        let report =
+            self.run_with_options(inputs, options.threads_per_request, Some(&sink), None, None)?;
         Ok((report, sink.into_trace()))
-    }
-
-    /// Serves one closed batch of requests through this session:
-    /// `options.request_threads` pool workers, each request executing with
-    /// `options.threads_per_request` wavefront workers. Results are returned
-    /// in input order.
-    ///
-    /// For open-ended traffic (requests arriving over time), use
-    /// [`FheSession::serve`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`FheError`] any request hit.
-    pub fn run_batch(
-        &self,
-        input_sets: &[HashMap<String, i64>],
-        options: &ExecOptions,
-    ) -> Result<Vec<ExecutionReport>, FheError> {
-        let pool = BatchExecutor::new(options.request_threads);
-        let reports = pool.run(input_sets.to_vec(), |_, inputs| {
-            self.run_with_options(
-                &inputs,
-                options.threads_per_request,
-                options.scheduler,
-                None,
-                None,
-                None,
-            )
-        });
-        reports.into_iter().collect()
     }
 
     /// Starts a persistent serving engine over this session: a bounded
     /// request queue (`options.queue_capacity`) drained by
     /// `options.request_threads` long-lived worker threads, each request
-    /// executing with `options.threads_per_request` workers under
-    /// `options.scheduler`.
+    /// executing with `options.threads_per_request` dataflow workers.
     ///
     /// `submit` returns a [`chehab_runtime::RequestHandle`] immediately;
     /// `wait`/`try_poll` retrieve that request's report, so callers observe
@@ -936,30 +768,23 @@ impl FheSession {
     /// and surface in [`chehab_runtime::ServingStats::scheduler`] and
     /// [`chehab_runtime::ServingStats::latency`].
     pub fn serve(self: &Arc<Self>, options: &ExecOptions) -> FheServingEngine {
-        self.serve_traced(options, None)
+        self.serve_resilient(options, None, None)
     }
 
-    /// Like [`FheSession::serve`], with an optional shared [`TraceSink`]:
-    /// when set, every serving worker records one request-level span per
+    /// Like [`FheSession::serve`], with an optional shared [`TraceSink`] and
+    /// an optional deterministic [`FaultPlan`].
+    ///
+    /// With a sink, every serving worker records one request-level span per
     /// served job (with its queue wait attached) on its own trace track, so
     /// a whole serving run exports as a request timeline. Instruction-level
     /// spans are deliberately *not* recorded here — each executor run would
     /// allocate fresh worker tracks, unbounded over an open request stream;
-    /// use [`FheSession::trace_request`] for a per-request deep dive.
+    /// use [`FheSession::trace_request`] for a per-request deep dive. The
+    /// caller keeps a clone of the `Arc` and turns it into a [`Trace`] (via
+    /// [`TraceSink::into_trace`], after `shutdown` and unwrapping the `Arc`)
+    /// once the engine is done.
     ///
-    /// The caller keeps a clone of the `Arc` and turns it into a
-    /// [`Trace`] (via [`TraceSink::into_trace`], after `shutdown` and
-    /// unwrapping the `Arc`) once the engine is done.
-    pub fn serve_traced(
-        self: &Arc<Self>,
-        options: &ExecOptions,
-        trace: Option<Arc<TraceSink>>,
-    ) -> FheServingEngine {
-        self.serve_resilient(options, trace, None)
-    }
-
-    /// Like [`FheSession::serve_traced`], with an optional deterministic
-    /// [`FaultPlan`]: submission-side faults (forced queue-full rejections,
+    /// With a plan, submission-side faults (forced queue-full rejections,
     /// worker kills) are drawn by the engine, and the same plan is threaded
     /// into every request's executor run so instruction-level faults
     /// (planned panics, latency spikes, mid-flight cancellations) fire
@@ -980,12 +805,11 @@ impl FheSession {
     ) -> FheServingEngine {
         let session = Arc::clone(self);
         let threads_per_request = options.threads_per_request;
-        let scheduler = options.scheduler;
         let metrics = Arc::new(SchedulerMetrics::default());
         let sink = Arc::clone(&metrics);
         let exec_faults = faults.clone();
         let panic_stats = Arc::clone(&self.resilience);
-        ServingEngine::with_resilience(
+        ServingEngine::new(
             ServingConfig {
                 workers: options.request_threads,
                 queue_capacity: options.queue_capacity,
@@ -1000,12 +824,11 @@ impl FheSession {
                 let result = session.run_with_options(
                     &inputs,
                     threads_per_request,
-                    scheduler,
                     None,
                     Some(token),
                     exec_faults.as_ref(),
                 );
-                // Instruction-level panics are isolated inside the executors
+                // Instruction-level panics are isolated inside the executor
                 // and surface as a clean `Err` return, invisible to the
                 // engine's own handler-panic accounting — count them here.
                 if let Err(FheError::WorkerPanic { .. }) = &result {
@@ -1018,10 +841,7 @@ impl FheSession {
                         &report.timing.queue_waits,
                     );
                     // Per-op-kind latency histograms: label every measured
-                    // instruction span with its schedule operation. (The
-                    // leveled scheduler reports no per-instruction spans, so
-                    // the zip is empty there and only the dataflow path
-                    // populates the histograms.)
+                    // instruction span with its schedule operation.
                     sink.record_op_samples(
                         session
                             .schedule
@@ -1052,7 +872,7 @@ impl FheSession {
         self.ctx.params().limb_count
     }
 
-    /// The session's leveled instruction schedule (lowered once at session
+    /// The session's instruction schedule (lowered once at session
     /// construction).
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
@@ -1136,17 +956,15 @@ impl FheSession {
         self.metrics().render_text()
     }
 
-    /// Runs one request: client-side binding, the timed scheduled execution
-    /// (leveled wavefront or barrier-free dataflow), and decryption, then
-    /// folds the request's measurements into the session's cumulative
-    /// calibration. With a [`TraceSink`] installed, the phases are recorded
-    /// as `session`-category spans and the executors record
-    /// instruction-level spans on per-worker tracks.
+    /// Runs one request: client-side binding, the timed dataflow execution,
+    /// and decryption, then folds the request's measurements into the
+    /// session's cumulative calibration. With a [`TraceSink`] installed, the
+    /// phases are recorded as `session`-category spans and the executor
+    /// records instruction-level spans on per-worker tracks.
     fn run_with_options(
         &self,
         inputs: &HashMap<String, i64>,
         threads: usize,
-        scheduler: SchedulerKind,
         trace: Option<&TraceSink>,
         cancel: Option<&CancellationToken>,
         faults: Option<&FaultPlan>,
@@ -1166,8 +984,7 @@ impl FheSession {
         }
         // --- server side: execute the scheduled operations (timed).
         let started = Instant::now();
-        let outcome =
-            self.execute_schedule(registers, threads, scheduler, trace, None, cancel, faults)?;
+        let outcome = self.execute_schedule(registers, threads, trace, None, cancel, faults)?;
         let server_time = started.elapsed();
         if let (Some(sink), Some(track)) = (trace, session_track) {
             session_span(sink, track, "execute", started, server_time);
@@ -1238,20 +1055,18 @@ impl FheSession {
         })
     }
 
-    /// Runs the session schedule over an already-bound register file:
-    /// executor dispatch (leveled wavefront or dataflow with calibrated
-    /// critical-path priorities) shared by the unbatched and batched paths.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs the session schedule over an already-bound register file on
+    /// `threads` dataflow workers, shared by the unbatched and batched
+    /// paths.
     fn execute_schedule(
         &self,
         registers: Vec<Option<Register>>,
         threads: usize,
-        scheduler: SchedulerKind,
         trace: Option<&TraceSink>,
         lanes: Option<LaneGeometry>,
         cancel: Option<&CancellationToken>,
         faults: Option<&FaultPlan>,
-    ) -> Result<WavefrontOutcome, FheError> {
+    ) -> Result<ExecOutcome, FheError> {
         let resources = ExecResources {
             ctx: &self.ctx,
             relin_keys: &self.relin_keys,
@@ -1263,29 +1078,25 @@ impl FheSession {
             cancel,
             faults,
         };
-        match scheduler {
-            SchedulerKind::Leveled => {
-                WavefrontExecutor::new(threads).execute(&self.schedule, registers, &resources)
-            }
-            SchedulerKind::Dataflow => {
-                // Critical-path priorities under the *calibrated* cost table:
-                // the ready queue ranks instructions by measured hardware
-                // cost, sharpening as the session accumulates samples (and
-                // falling back to the static estimates on a cold session).
-                let costs = self
-                    .calibration
-                    .lock()
-                    .unwrap()
-                    .to_op_costs(&CostModel::default().op_costs);
-                let priorities = self.schedule.critical_path_priorities(&costs);
-                DataflowExecutor::new(threads).execute_with_priorities(
-                    &self.schedule,
-                    registers,
-                    &resources,
-                    &priorities,
-                )
-            }
+        let executor = DataflowExecutor::new(threads);
+        if threads <= 1 {
+            // One worker runs every instruction whatever the order, so the
+            // order cannot change the execute time. The static estimates
+            // keep it, and with it the buffer demand, the same from request
+            // to request.
+            return executor.execute(&self.schedule, registers, &resources);
         }
+        // Critical-path priorities under the *calibrated* cost table: the
+        // ready queue ranks instructions by measured hardware cost,
+        // sharpening as the session accumulates samples (and falling back to
+        // the static estimates on a cold session).
+        let costs = self
+            .calibration
+            .lock()
+            .unwrap()
+            .to_op_costs(&CostModel::default().op_costs);
+        let priorities = self.schedule.critical_path_priorities(&costs);
+        executor.execute_with_priorities(&self.schedule, registers, &resources, &priorities)
     }
 
     /// The lane stride of this program on this context: the slot distance
@@ -1409,8 +1220,8 @@ impl FheSession {
     ///
     /// # Errors
     ///
-    /// Same contract as [`CompiledProgram::execute`]; an error fails the
-    /// entire call.
+    /// Same contract as [`FheSession::run`]; an error fails the entire
+    /// call.
     pub fn run_batched(
         &self,
         input_sets: &[HashMap<String, i64>],
@@ -1434,7 +1245,6 @@ impl FheSession {
             let outcome = self.execute_schedule(
                 registers,
                 options.threads_per_request,
-                options.scheduler,
                 None,
                 Some(LaneGeometry {
                     stride: self.lanes.stride,
@@ -1596,9 +1406,8 @@ pub struct ExecutionReport {
     pub galois_key_count: usize,
     /// `false` when the noise budget was exhausted and decryption failed.
     pub decryption_ok: bool,
-    /// Per-operation-kind timing breakdown — per-level walls under the
-    /// leveled scheduler, per-instruction queue waits / steals / reclaimed
-    /// barrier slack under the dataflow scheduler — including the measured
+    /// Per-operation-kind timing breakdown — per-instruction spans and queue
+    /// waits, steals, reclaimed barrier slack — including the measured
     /// latencies a [`chehab_runtime::CalibratedCostModel`] feeds back into
     /// the optimizer's cost model.
     pub timing: TimingBreakdown,
@@ -1706,7 +1515,8 @@ mod tests {
         let inputs: HashMap<String, i64> =
             bindings.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         program
-            .execute(&inputs, &BfvParameters::insecure_test())
+            .session(&BfvParameters::insecure_test())
+            .and_then(|session| session.run(&inputs))
             .unwrap()
     }
 
@@ -1795,7 +1605,7 @@ mod tests {
         let report = run(&program, &[("w", 10)]);
         assert_eq!(report.outputs, vec![13]);
         assert_eq!(report.operation_stats.total(), 0);
-        assert!(report.timing.levels.is_empty());
+        assert!(report.timing.instr_times.is_empty());
     }
 
     #[test]
@@ -1822,20 +1632,22 @@ mod tests {
         .iter()
         .map(|(k, v)| (k.to_string(), *v))
         .collect();
-        let params = BfvParameters::insecure_test();
-        let sequential = program.execute(&inputs, &params).unwrap();
+        let session = program.session(&BfvParameters::insecure_test()).unwrap();
+        let sequential = session.run(&inputs).unwrap();
         for threads in [2, 4] {
-            let parallel = program.execute_parallel(&inputs, &params, threads).unwrap();
+            let parallel = session
+                .run_parallel(
+                    &inputs,
+                    &ExecOptions::sequential().with_threads_per_request(threads),
+                )
+                .unwrap();
             assert_eq!(parallel.outputs, sequential.outputs);
             assert_eq!(parallel.operation_stats, sequential.operation_stats);
             assert_eq!(
                 parallel.noise_budget_consumed,
                 sequential.noise_budget_consumed
             );
-            // The default parallel scheduler is dataflow: level-less timing,
-            // but one measured span and queue wait per instruction.
-            assert_eq!(parallel.timing.scheduler, SchedulerKind::Dataflow);
-            assert!(parallel.timing.levels.is_empty());
+            // One measured span and queue wait per instruction.
             assert_eq!(
                 parallel.timing.instr_times.len(),
                 sequential.timing.instr_times.len()
@@ -1844,33 +1656,6 @@ mod tests {
                 parallel.timing.queue_waits.len(),
                 parallel.timing.instr_times.len()
             );
-        }
-    }
-
-    #[test]
-    fn batch_execution_matches_individual_runs() {
-        let program = compile_raw("(VecAdd (VecMul (Vec a b) (Vec c d)) (Vec 1 1))", true);
-        let params = BfvParameters::insecure_test();
-        let input_sets: Vec<HashMap<String, i64>> = (0..6)
-            .map(|i| {
-                [("a", i), ("b", i + 1), ("c", 2 * i), ("d", 3)]
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), *v))
-                    .collect()
-            })
-            .collect();
-        let options = BatchOptions {
-            request_threads: 3,
-            threads_per_request: 1,
-        };
-        let batched = program
-            .execute_batch(&input_sets, &params, &options)
-            .unwrap();
-        assert_eq!(batched.len(), input_sets.len());
-        for (inputs, report) in input_sets.iter().zip(&batched) {
-            let solo = program.execute(inputs, &params).unwrap();
-            assert_eq!(report.outputs, solo.outputs);
-            assert_eq!(report.operation_stats, solo.operation_stats);
         }
     }
 

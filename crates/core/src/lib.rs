@@ -26,7 +26,7 @@
 //! // ...compile it with the greedy optimizer and run it homomorphically.
 //! let compiled = Compiler::greedy().compile(p.name(), &p.lower());
 //! let inputs: HashMap<String, i64> = [("a".to_string(), 9), ("b".to_string(), 4)].into();
-//! let report = compiled.execute(&inputs, &BfvParameters::insecure_test())?;
+//! let report = compiled.session(&BfvParameters::insecure_test())?.run(&inputs)?;
 //! assert_eq!(report.outputs[0], 25);
 //! # Ok::<(), chehab_fhe::FheError>(())
 //! ```
@@ -43,19 +43,16 @@ pub mod training;
 pub use compiler::{Compiler, CompilerOptions, OptimizerKind};
 pub use dsl::{DslProgram, DslValue};
 pub use executor::{
-    external_compile_stats, output_slots_of, BatchOptions, CompileStats, CompiledProgram,
-    ExecOptions, ExecutionReport, FheServingEngine, FheSession, SessionStats,
+    external_compile_stats, output_slots_of, CompileStats, CompiledProgram, ExecOptions,
+    ExecutionReport, FheServingEngine, FheSession, SessionStats,
 };
 pub use rotation_keys::{naf_decomposition, select_rotation_keys, RotationKeyPlan};
-// The scheduling knob of `ExecOptions`, re-exported so session users don't
-// need a direct `chehab_runtime` dependency to pick a discipline.
-pub use chehab_runtime::SchedulerKind;
 // The cross-request SIMD batching surface of the session API
 // ([`FheSession::run_batched`], [`FheSession::serve_batched`]), re-exported
-// for the same reason.
+// so session users don't need a direct `chehab_runtime` dependency.
 pub use chehab_runtime::{BatchPolicy, CoalescerStats, LaneGeometry, RequestCoalescer};
 // The telemetry surface of the session API ([`FheSession::trace_request`],
-// [`FheSession::serve_traced`], [`FheSession::metrics`]), re-exported for
+// [`FheSession::serve_resilient`], [`FheSession::metrics`]), re-exported for
 // the same reason.
 pub use chehab_runtime::{Histogram, MetricsRegistry, Trace, TraceSink};
 // The resilience surface of the session API ([`FheSession::serve_resilient`],

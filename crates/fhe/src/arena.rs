@@ -10,11 +10,13 @@
 //!
 //! Arenas are deliberately not thread-safe: each worker (and each
 //! [`Evaluator`](crate::Evaluator) / [`Encryptor`](crate::Encryptor)) owns
-//! one privately and pays no synchronization on the hot path. An
-//! [`ArenaPool`] is the shared, mutex-guarded parking lot a session keeps
-//! them in between requests: workers check an arena out at request start and
-//! restore it (with every recycled buffer) when they finish, so warm buffers
-//! survive across requests and across workers.
+//! one privately and pays no synchronization while its own free lists can
+//! serve it. An [`ArenaPool`] is the shared, mutex-guarded parking lot a
+//! session keeps buffers in between requests: workers check an arena out at
+//! request start and restore it (parking every recycled buffer) when they
+//! finish. A checked-out arena that misses draws from the parked buffers
+//! before it allocates, so a buffer one worker freed serves another worker's
+//! later request instead of being stranded in the first worker's arena.
 //!
 //! Counters record every miss and hit at two scopes. The process-global
 //! statics ([`PolyArena::fresh_allocations`] / [`PolyArena::reuses`]) back
@@ -36,15 +38,29 @@ static ARENA_FRESH: AtomicU64 = AtomicU64::new(0);
 /// list (pool hit).
 static ARENA_REUSED: AtomicU64 = AtomicU64::new(0);
 
-/// Per-[`ArenaPool`] hit/miss counters, shared by every arena checked out of
-/// one pool (an `Arc` clone travels with the arena). They exist alongside
-/// the process-global statics so concurrent sessions can read their own
-/// allocation behavior without aliasing each other's.
+/// The state one [`ArenaPool`] shares with every arena checked out of it (an
+/// `Arc` clone travels with the arena): the parked buffers and the pool's
+/// hit/miss counters. The counters exist alongside the process-global
+/// statics so concurrent sessions can read their own allocation behavior
+/// without aliasing each other's.
 #[derive(Debug, Default)]
-struct PoolCounters {
+struct PoolShared {
+    /// Buffers parked between requests, in free lists keyed by length.
+    parked: Mutex<FreeLists>,
     fresh: AtomicU64,
     reused: AtomicU64,
 }
+
+impl PoolShared {
+    fn parked(&self) -> std::sync::MutexGuard<'_, FreeLists> {
+        self.parked
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+/// Free lists of `u64` buffers keyed by length.
+type FreeLists = HashMap<usize, Vec<Vec<u64>>>;
 
 /// A session-scoped snapshot of one [`ArenaPool`]'s allocation counters
 /// ([`ArenaPool::alloc_stats`]): pool misses and hits across every arena
@@ -67,10 +83,11 @@ pub struct ArenaPoolStats {
 /// different payload degrees) never mix.
 #[derive(Debug, Default)]
 pub struct PolyArena {
-    pools: HashMap<usize, Vec<Vec<u64>>>,
-    /// Counters of the [`ArenaPool`] this arena was checked out of, if any:
-    /// standalone arenas count only into the process-global statics.
-    counters: Option<Arc<PoolCounters>>,
+    pools: FreeLists,
+    /// The [`ArenaPool`] this arena was checked out of, if any: misses draw
+    /// from its parked buffers and count into its counters. Standalone
+    /// arenas count only into the process-global statics.
+    pool: Option<Arc<PoolShared>>,
 }
 
 impl PolyArena {
@@ -80,24 +97,26 @@ impl PolyArena {
     }
 
     /// Takes a buffer of exactly `len` entries, reusing a pooled one when
-    /// available and allocating (and counting) a fresh one otherwise.
+    /// available — from this arena's own free list, else from the buffers
+    /// parked in the [`ArenaPool`] it was checked out of — and allocating
+    /// (and counting) a fresh one otherwise.
     ///
     /// The returned buffer's contents are unspecified; the caller must
     /// overwrite every entry it reads back.
     pub fn take(&mut self, len: usize) -> Vec<u64> {
-        if let Some(buf) = self.pools.get_mut(&len).and_then(Vec::pop) {
-            ARENA_REUSED.fetch_add(1, Ordering::Relaxed);
-            if let Some(counters) = &self.counters {
-                counters.reused.fetch_add(1, Ordering::Relaxed);
-            }
-            buf
-        } else {
-            ARENA_FRESH.fetch_add(1, Ordering::Relaxed);
-            if let Some(counters) = &self.counters {
-                counters.fresh.fetch_add(1, Ordering::Relaxed);
-            }
-            vec![0u64; len]
+        let reused = self.pools.get_mut(&len).and_then(Vec::pop).or_else(|| {
+            let pool = self.pool.as_ref()?;
+            pool.parked().get_mut(&len)?.pop()
+        });
+        let (global, pooled) = match reused {
+            Some(_) => (&ARENA_REUSED, self.pool.as_ref().map(|p| &p.reused)),
+            None => (&ARENA_FRESH, self.pool.as_ref().map(|p| &p.fresh)),
+        };
+        global.fetch_add(1, Ordering::Relaxed);
+        if let Some(counter) = pooled {
+            counter.fetch_add(1, Ordering::Relaxed);
         }
+        reused.unwrap_or_else(|| vec![0u64; len])
     }
 
     /// Returns a buffer to the free list of its length class. Zero-length
@@ -140,20 +159,23 @@ impl PolyArena {
     }
 }
 
-/// A shared parking lot of [`PolyArena`]s: sessions own one pool, workers
+/// A shared parking lot of warm buffers: sessions own one pool, workers
 /// check arenas out for the duration of a request and restore them
 /// afterwards, so warm buffers survive across requests and migrate freely
 /// between workers.
 ///
-/// The mutex is touched twice per (worker, request) — checkout and restore —
-/// never inside an operation.
+/// Restoring an arena parks all its buffers in one set of free lists, and a
+/// checked-out arena that misses its own free list draws from those parked
+/// buffers before it allocates. So however a multi-worker request splits
+/// its frees and allocations between workers, a later request finds every
+/// warm buffer, and the pool stops growing once it holds a request's peak
+/// demand. The mutex is touched at restore and on a miss of a checked-out
+/// arena's own free list, never on a hit.
 #[derive(Debug, Clone, Default)]
 pub struct ArenaPool {
-    inner: Arc<Mutex<Vec<PolyArena>>>,
-    /// Hit/miss counters shared by every arena checked out of this pool
-    /// (clones of the pool share them too, consistent with the shared
-    /// `inner`), snapshotted by [`ArenaPool::alloc_stats`].
-    counters: Arc<PoolCounters>,
+    /// Parked buffers and hit/miss counters, shared by every arena checked
+    /// out of this pool and by clones of the pool.
+    shared: Arc<PoolShared>,
 }
 
 impl ArenaPool {
@@ -162,43 +184,31 @@ impl ArenaPool {
         ArenaPool::default()
     }
 
-    /// Checks an arena out of the pool (an empty one if the pool has none to
-    /// spare — e.g. on the first request, or when more workers run
-    /// concurrently than ever before).
+    /// Checks an empty arena out of the pool, attached to it: its misses
+    /// draw from the parked buffers, and its hits and misses are attributed
+    /// to this pool's counters.
     pub fn checkout(&self) -> PolyArena {
-        let mut arena = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default();
-        // Attach (or refresh) this pool's counters so the arena's hits and
-        // misses are attributed to the session that checked it out.
-        arena.counters = Some(Arc::clone(&self.counters));
-        arena
+        PolyArena {
+            pools: FreeLists::new(),
+            pool: Some(Arc::clone(&self.shared)),
+        }
     }
 
-    /// Returns an arena (and every buffer it holds) to the pool.
+    /// Returns an arena to the pool, parking every buffer it holds.
     pub fn restore(&self, arena: PolyArena) {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(arena);
+        let mut parked = self.shared.parked();
+        for (len, mut bufs) in arena.pools {
+            parked.entry(len).or_default().append(&mut bufs);
+        }
     }
 
     /// Recycles one ciphertext's buffers straight into the pool (used for
     /// the request's output ciphertext after decryption, when no worker
     /// arena is checked out any more).
     pub fn recycle(&self, ciphertext: crate::Ciphertext) {
-        let mut guard = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if guard.is_empty() {
-            guard.push(PolyArena::new());
-        }
-        let arena = guard.last_mut().expect("pool is non-empty");
-        ciphertext.recycle_into(arena);
+        let mut arena = PolyArena::new();
+        ciphertext.recycle_into(&mut arena);
+        self.restore(arena);
     }
 
     /// A snapshot of this pool's allocation counters: pool misses and hits
@@ -208,20 +218,15 @@ impl ArenaPool {
     /// each read their own allocation behavior.
     pub fn alloc_stats(&self) -> ArenaPoolStats {
         ArenaPoolStats {
-            fresh_allocations: self.counters.fresh.load(Ordering::Relaxed),
-            reuses: self.counters.reused.load(Ordering::Relaxed),
+            fresh_allocations: self.shared.fresh.load(Ordering::Relaxed),
+            reuses: self.shared.reused.load(Ordering::Relaxed),
         }
     }
 
-    /// Total buffers parked across every arena currently in the pool
-    /// (checked-out arenas are not visible).
+    /// Total buffers parked in the pool (buffers held by checked-out arenas
+    /// are not visible).
     pub fn retained(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(PolyArena::retained)
-            .sum()
+        self.shared.parked().values().map(Vec::len).sum()
     }
 }
 
@@ -287,20 +292,36 @@ mod tests {
     }
 
     #[test]
-    fn pool_round_trips_arenas() {
+    fn pool_round_trips_buffers() {
         let pool = ArenaPool::new();
         let mut arena = pool.checkout();
         arena.put(vec![0; 4]);
         pool.restore(arena);
         assert_eq!(pool.retained(), 1);
-        let arena = pool.checkout();
-        assert_eq!(arena.retained(), 1);
+        let mut arena = pool.checkout();
+        assert_eq!(arena.take(4).len(), 4);
+        assert_eq!(pool.retained(), 0);
+        assert_eq!(pool.alloc_stats().fresh_allocations, 0);
         pool.restore(arena);
-        // A second concurrent checkout gets a fresh arena.
-        let a = pool.checkout();
-        let b = pool.checkout();
-        assert_eq!(a.retained() + b.retained(), 1);
-        pool.restore(a);
-        pool.restore(b);
+    }
+
+    #[test]
+    fn a_worker_miss_draws_buffers_another_worker_parked() {
+        // Per request, worker `b` takes three buffers and worker `a` ends up
+        // freeing them. `b`'s misses on later requests are served by what
+        // `a` parked, before anything is allocated fresh.
+        let pool = ArenaPool::new();
+        for _ in 0..10 {
+            let mut b = pool.checkout();
+            let mut a = pool.checkout();
+            let bufs: Vec<_> = (0..3).map(|_| b.take(8)).collect();
+            for buf in bufs {
+                a.put(buf);
+            }
+            pool.restore(a);
+            pool.restore(b);
+        }
+        assert_eq!(pool.alloc_stats().fresh_allocations, 3);
+        assert_eq!(pool.retained(), 3);
     }
 }

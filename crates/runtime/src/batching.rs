@@ -92,7 +92,7 @@ impl BatchPolicy {
 /// The slot-lane layout one batched execution runs under: consecutive users
 /// are placed `stride` slots apart, and `lanes` users share the ciphertext.
 ///
-/// Executors receive this through `ExecResources::lanes` so the one
+/// The executor receives this through `ExecResources::lanes` so the one
 /// lane-sensitive instruction — run-time packing of *plaintext* elements —
 /// can replicate each plaintext value into every live lane (every other
 /// instruction is slot-wise or cyclic and needs no lane awareness at all).

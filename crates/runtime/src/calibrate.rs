@@ -69,7 +69,7 @@ impl OpKind {
 /// Measured per-operation-kind latencies, accumulated across executions.
 ///
 /// Cheap to merge, so every worker keeps a private instance and the runtime
-/// combines them after the wavefront finishes.
+/// combines them after the execution finishes.
 #[derive(Debug, Clone, Default)]
 pub struct CalibratedCostModel {
     totals: [Duration; 6],

@@ -1,15 +1,16 @@
 //! The dataflow executor: dependency-counting, work-stealing, barrier-free
-//! execution of instruction schedules.
+//! execution of instruction schedules — the one executor every request runs
+//! through, from the one-worker sequential baseline to multi-worker runs.
 //!
-//! The [`WavefrontExecutor`](crate::WavefrontExecutor) synchronizes workers
-//! with a barrier between topological levels, so every level pays for its
-//! slowest instruction — `ExecutionReport::timing.levels` shows that slack
-//! directly on uneven levels (a level with one ct-ct multiplication and
-//! thirty additions idles most of the pool for the multiplication's whole
-//! span). The [`DataflowExecutor`] removes the barriers: [`Schedule::lower`]
-//! emits each instruction's remaining-dependency count and dependent list
-//! (the transpose of the operand graph), and an instruction becomes runnable
-//! the instant its last operand is written.
+//! A level-synchronized executor would put a barrier between topological
+//! levels, so every level would pay for its slowest instruction (a level
+//! with one ct-ct multiplication and thirty additions idles most of the pool
+//! for the multiplication's whole span). The [`DataflowExecutor`] has no
+//! barriers: [`Schedule::lower`] emits each instruction's remaining-dependency
+//! count and dependent list (the transpose of the operand graph), and an
+//! instruction becomes runnable the instant its last operand is written.
+//! [`TimingBreakdown::reclaimed_slack`] reports the slack a leveled run
+//! would have paid, projected from measured instruction times.
 //!
 //! Scheduling follows the classic work-stealing shape:
 //!
@@ -41,13 +42,13 @@
 
 use crate::calibrate::CalibratedCostModel;
 use crate::exec::{
-    dispatch_instr, publish_and_reap, validate_operands, ExecResources, Register, RegisterFile,
-    SchedulerKind, TimingBreakdown, WavefrontOutcome,
+    dispatch_instr, publish_and_reap, validate_operands, ExecOutcome, ExecResources, Register,
+    RegisterFile, TimingBreakdown,
 };
 use crate::schedule::Schedule;
 use crate::telemetry::TraceBuffer;
 use chehab_fhe::{Evaluator, EvaluatorStats, FheError};
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -74,6 +75,30 @@ struct Ready {
     /// When the last dependency was satisfied (queue-wait epoch).
     since: Instant,
 }
+
+/// Run order: a greater `Ready` runs first — higher priority, then the
+/// lower instruction index on ties, for determinism.
+impl Ord for Ready {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.priority
+            .total_cmp(&other.priority)
+            .then(other.index.cmp(&self.index))
+    }
+}
+
+impl PartialOrd for Ready {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ready {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ready {}
 
 /// Scheduler state shared by every worker, behind one mutex: per-worker
 /// local deques, the injector, dependency counters and the grant ledger.
@@ -132,13 +157,7 @@ impl SchedState {
     /// sorted by descending priority (front = next to run).
     fn push_local(&mut self, worker: usize, ready: Ready) {
         let deque = &mut self.locals[worker];
-        let pos = deque
-            .iter()
-            .position(|r| {
-                (r.priority, ready.index).partial_cmp(&(ready.priority, r.index))
-                    == Some(std::cmp::Ordering::Less)
-            })
-            .unwrap_or(deque.len());
+        let pos = deque.iter().position(|r| *r < ready).unwrap_or(deque.len());
         deque.insert(pos, ready);
         self.ready_count += 1;
     }
@@ -146,9 +165,7 @@ impl SchedState {
 
 /// Executes instruction schedules barrier-free on a pool of worker threads,
 /// dependency counts deciding readiness and work stealing deciding
-/// placement. Drop-in alternative to
-/// [`WavefrontExecutor`](crate::WavefrontExecutor) with bit-identical
-/// outputs.
+/// placement. Outputs are bit-identical at every worker count.
 #[derive(Debug, Clone, Copy)]
 pub struct DataflowExecutor {
     threads: usize,
@@ -180,7 +197,7 @@ impl DataflowExecutor {
         schedule: &Schedule,
         initial: Vec<Option<Register>>,
         res: &ExecResources<'_>,
-    ) -> Result<WavefrontOutcome, FheError> {
+    ) -> Result<ExecOutcome, FheError> {
         self.execute_with_priorities(schedule, initial, res, &schedule.default_priorities())
     }
 
@@ -207,7 +224,7 @@ impl DataflowExecutor {
         initial: Vec<Option<Register>>,
         res: &ExecResources<'_>,
         priorities: &[f64],
-    ) -> Result<WavefrontOutcome, FheError> {
+    ) -> Result<ExecOutcome, FheError> {
         assert_eq!(
             initial.len(),
             schedule.slot_count(),
@@ -221,8 +238,8 @@ impl DataflowExecutor {
         validate_operands(schedule, &rf);
 
         let n = schedule.instrs().len();
-        // Unlike the leveled executor, the ready set can span levels, so the
-        // useful worker bound is the instruction count, not the widest level.
+        // The ready set can span levels, so the useful worker bound is the
+        // instruction count, not the widest level.
         let workers = self.threads.min(n.max(1));
         // Dynamic intra-op grants only pay off when payloads are large
         // enough for the evaluator to actually split them. The split axis is
@@ -271,7 +288,7 @@ impl DataflowExecutor {
                 .makespan(&timing.instr_times, workers)
                 .saturating_sub(schedule.dataflow_makespan(&timing.instr_times, workers));
         }
-        Ok(WavefrontOutcome {
+        Ok(ExecOutcome {
             output: output.expect("output taken on the success path"),
             stats,
             timing,
@@ -303,7 +320,7 @@ impl DataflowExecutor {
         let mut instr_times = vec![Duration::ZERO; n];
         let mut queue_waits = vec![Duration::ZERO; n];
         let mut pending = schedule.dep_counts().to_vec();
-        let mut ready: Vec<Ready> = (0..n)
+        let mut ready: BinaryHeap<Ready> = (0..n)
             .filter(|&i| pending[i] == 0)
             .map(|index| Ready {
                 priority: priorities[index],
@@ -313,8 +330,7 @@ impl DataflowExecutor {
             .collect();
         let mut completed = 0usize;
         let mut failure: Option<FheError> = None;
-        while let Some(pos) = best_ready(&ready) {
-            let item = ready.swap_remove(pos);
+        while let Some(item) = ready.pop() {
             let si = &schedule.instrs()[item.index];
             let wait = item.since.elapsed();
             queue_waits[item.index] = wait;
@@ -360,9 +376,7 @@ impl DataflowExecutor {
         }
         assert_eq!(completed, n, "dataflow walk drained every instruction");
         let timing = TimingBreakdown {
-            scheduler: SchedulerKind::Dataflow,
             threads: 1,
-            levels: Vec::new(),
             wall: Duration::ZERO, // stamped by the caller
             per_op: calibration,
             instr_times,
@@ -373,20 +387,6 @@ impl DataflowExecutor {
         };
         Ok((evaluator.stats(), timing))
     }
-}
-
-/// The highest-priority entry of an unordered ready list (lowest index on
-/// ties, for determinism).
-fn best_ready(ready: &[Ready]) -> Option<usize> {
-    ready
-        .iter()
-        .enumerate()
-        .max_by(|(_, a), (_, b)| {
-            a.priority
-                .total_cmp(&b.priority)
-                .then(b.index.cmp(&a.index))
-        })
-        .map(|(pos, _)| pos)
 }
 
 fn execute_parallel(
@@ -408,11 +408,7 @@ fn execute_parallel(
         })
         .collect();
     // Ascending sort: `SchedState::pop` takes the best from the end.
-    injector.sort_by(|a, b| {
-        a.priority
-            .total_cmp(&b.priority)
-            .then(b.index.cmp(&a.index))
-    });
+    injector.sort_unstable();
     let ready_count = injector.len();
     let state = Mutex::new(SchedState {
         locals: (0..workers).map(|_| VecDeque::new()).collect(),
@@ -553,9 +549,7 @@ fn execute_parallel(
     Ok((
         stats,
         TimingBreakdown {
-            scheduler: SchedulerKind::Dataflow,
             threads: workers,
-            levels: Vec::new(),
             wall: Duration::ZERO, // stamped by the caller
             per_op,
             instr_times,

@@ -1,18 +1,6 @@
-//! The wavefront executor: a `std::thread` worker pool that runs every
-//! instruction of a schedule level concurrently.
-//!
-//! Execution proceeds level by level. Within a level all instructions are
-//! independent, so workers drain a shared atomic work queue; instructions are
-//! pre-sorted by descending estimated cost (longest-processing-time-first),
-//! which keeps the queue balanced even though a ct-ct multiplication costs
-//! two orders of magnitude more than an addition. A barrier separates
-//! levels: operands of the next level are guaranteed written before any
-//! worker proceeds.
-//!
-//! Every worker owns a private [`Evaluator`] (the shared [`FheContext`] is
-//! immutable) and a private [`CalibratedCostModel`]; both are merged when the
-//! wavefront completes, so the report carries exact operation counts and
-//! measured per-op-kind latencies with no synchronization on the hot path.
+//! Execution machinery shared by the [`DataflowExecutor`](crate::DataflowExecutor):
+//! the register file, the borrowed execution resources, the timing
+//! breakdown, and instruction dispatch.
 //!
 //! ## Arena-backed registers and last-use recycling
 //!
@@ -28,7 +16,7 @@
 
 use crate::calibrate::{CalibratedCostModel, OpKind};
 use crate::schedule::{Instr, Schedule, ScheduledInstr, Slot};
-use crate::telemetry::{TraceBuffer, TraceSink};
+use crate::telemetry::TraceSink;
 use chehab_fhe::{
     ArenaPool, Ciphertext, Evaluator, EvaluatorStats, FheContext, FheError, GaloisKeys, Plaintext,
     PolyArena, RelinKeys,
@@ -50,8 +38,8 @@ fn ct_pt_kind(op: BinOp) -> OpKind {
         BinOp::Mul => OpKind::MulCtPt,
     }
 }
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A clear (client-side) value bound into the register file, with a
@@ -59,7 +47,7 @@ use std::time::{Duration, Instant};
 ///
 /// Every instruction that consumes the register shares one encoding (and,
 /// through the plaintext's own splat cache, one payload NTT) instead of
-/// re-encoding per use — safe across wavefront workers because the cache is
+/// re-encoding per use — safe across dataflow workers because the cache is
 /// a [`OnceLock`] and encoding is deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct PlainValue {
@@ -95,7 +83,7 @@ impl PlainValue {
     }
 
     /// [`PlainValue::encoded`] with the slot vector drawn from `arena` — the
-    /// form the executors use so a warm request's plaintext encodes are
+    /// form the executor uses so a warm request's plaintext encodes are
     /// served by the pool and recycled when the register dies.
     ///
     /// # Errors
@@ -282,7 +270,7 @@ impl RegisterFile {
 
 /// Publishes an instruction's result, then retires its operands: the worker
 /// that completes a slot's final consumer recycles the dead register's
-/// buffers into its own evaluator's arena (shared by both executors).
+/// buffers into its own evaluator's arena.
 pub(crate) fn publish_and_reap(
     rf: &RegisterFile,
     si: &ScheduledInstr,
@@ -317,7 +305,7 @@ pub(crate) fn publish_and_reap(
     }
 }
 
-/// Shared immutable resources a wavefront execution borrows.
+/// Shared immutable resources a scheduled execution borrows.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecResources<'a> {
     /// The FHE context (parameters, NTT tables, encoding).
@@ -337,8 +325,8 @@ pub struct ExecResources<'a> {
     pub arenas: &'a ArenaPool,
     /// Optional span sink: when set, every worker records instruction-level
     /// spans (operation label, instruction index, queue wait, intra-op
-    /// grant, steal provenance) into per-worker [`TraceBuffer`]s that flush
-    /// here. `None` (the default) disables tracing at the cost of one null
+    /// grant, steal provenance) into per-worker
+    /// [`TraceBuffer`](crate::TraceBuffer)s that flush here. `None` (the default) disables tracing at the cost of one null
     /// check per instruction — capture never perturbs results, only
     /// observes timings.
     pub trace: Option<&'a TraceSink>,
@@ -351,7 +339,7 @@ pub struct ExecResources<'a> {
     /// unbatched single-user layout.
     pub lanes: Option<crate::LaneGeometry>,
     /// Optional cancellation token checked at every instruction dispatch by
-    /// both executors: once the token is cancelled (or its deadline passes)
+    /// the executor: once the token is cancelled (or its deadline passes)
     /// the request stops scheduling its remaining instructions mid-flight,
     /// recycles whatever registers it still holds, and returns
     /// [`FheError::Cancelled`] / [`FheError::DeadlineExceeded`]. `None` (the
@@ -367,50 +355,12 @@ pub struct ExecResources<'a> {
     pub faults: Option<&'a crate::FaultPlan>,
 }
 
-/// Which scheduling discipline produced an execution's timing breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Barrier-free dependency-counting dataflow execution
-    /// ([`crate::DataflowExecutor`]): an instruction becomes runnable the
-    /// instant its last operand is written. The default.
-    #[default]
-    Dataflow,
-    /// Level-synchronized wavefront execution ([`WavefrontExecutor`]): a
-    /// barrier separates topological levels, so every level waits for its
-    /// slowest instruction.
-    Leveled,
-}
-
-/// Wall-clock of one wavefront level.
-#[derive(Debug, Clone)]
-pub struct LevelTiming {
-    /// Level index.
-    pub level: usize,
-    /// Instructions executed in the level.
-    pub instructions: usize,
-    /// Wall-clock time of the level (including the closing barrier).
-    pub wall: Duration,
-    /// Intra-op worker budget each evaluator had in this level: when the
-    /// level is narrower than the worker pool, the spare threads split heavy
-    /// payload loops inside single operations instead of idling at the
-    /// barrier.
-    pub intra_op_threads: usize,
-}
-
-/// Per-level and per-operation-kind breakdown of one execution.
+/// Per-operation-kind breakdown of one execution.
 #[derive(Debug, Clone)]
 pub struct TimingBreakdown {
-    /// The scheduling discipline that produced this breakdown.
-    pub scheduler: SchedulerKind,
     /// Worker threads used.
     pub threads: usize,
-    /// Wall-clock per wavefront level, in level order. Empty for dataflow
-    /// executions — there are no levels to time; see
-    /// [`TimingBreakdown::wall`], [`TimingBreakdown::queue_waits`] and
-    /// [`TimingBreakdown::reclaimed_slack`] instead.
-    pub levels: Vec<LevelTiming>,
-    /// Wall-clock of the whole scheduled execution (for leveled runs this
-    /// equals the sum of the level walls).
+    /// Wall-clock of the whole scheduled execution.
     pub wall: Duration,
     /// Measured per-operation-kind latencies.
     pub per_op: CalibratedCostModel,
@@ -418,18 +368,16 @@ pub struct TimingBreakdown {
     /// [`Schedule::instrs`] — the input of
     /// [`Schedule::makespan`](crate::Schedule::makespan) projections.
     pub instr_times: Vec<Duration>,
-    /// Dataflow only: per-instruction queue wait (from the instant the
-    /// instruction's last dependency was satisfied to the instant a worker
-    /// started running it), indexed like [`Schedule::instrs`]. Empty for
-    /// leveled runs.
+    /// Per-instruction queue wait (from the instant the instruction's last
+    /// dependency was satisfied to the instant a worker started running
+    /// it), indexed like [`Schedule::instrs`].
     pub queue_waits: Vec<Duration>,
-    /// Dataflow only: ready instructions taken from another worker's local
-    /// deque.
+    /// Ready instructions taken from another worker's local deque.
     pub steals: u64,
-    /// Dataflow only: the barrier slack reclaimed versus leveled execution —
+    /// The barrier slack reclaimed versus a level-synchronized execution —
     /// the leveled makespan projection minus the dataflow makespan
     /// projection at the same worker count, both computed from this run's
-    /// measured [`TimingBreakdown::instr_times`]. Zero for leveled runs.
+    /// measured [`TimingBreakdown::instr_times`].
     pub reclaimed_slack: Duration,
     /// Operations whose payload work actually split across more than one
     /// intra-op worker. The per-op latencies in
@@ -443,9 +391,7 @@ impl TimingBreakdown {
     /// A breakdown with no instructions (plaintext-only programs).
     pub fn empty(threads: usize) -> Self {
         TimingBreakdown {
-            scheduler: SchedulerKind::default(),
             threads,
-            levels: Vec::new(),
             wall: Duration::ZERO,
             per_op: CalibratedCostModel::new(),
             instr_times: Vec::new(),
@@ -456,19 +402,8 @@ impl TimingBreakdown {
         }
     }
 
-    /// Total wall-clock of the scheduled execution: the sum of the level
-    /// walls for leveled runs, the measured execution span for (level-less)
-    /// dataflow runs.
-    pub fn total_wall(&self) -> Duration {
-        if self.levels.is_empty() {
-            self.wall
-        } else {
-            self.levels.iter().map(|l| l.wall).sum()
-        }
-    }
-
     /// A queue-wait percentile (`0.0..=1.0`) across this run's instructions,
-    /// `None` for leveled runs (no queue waits are recorded).
+    /// `None` when no instruction ran.
     pub fn queue_wait_percentile(&self, pct: f64) -> Option<Duration> {
         percentile(&mut self.queue_waits.clone(), pct)
     }
@@ -485,297 +420,15 @@ pub(crate) fn percentile(samples: &mut [Duration], pct: f64) -> Option<Duration>
     Some(samples[rank.min(samples.len() - 1)])
 }
 
-/// The result of one wavefront execution.
+/// The result of one scheduled execution.
 #[derive(Debug, Clone)]
-pub struct WavefrontOutcome {
+pub struct ExecOutcome {
     /// The output register of the circuit.
     pub output: Register,
     /// Merged homomorphic-operation counters of all workers.
     pub stats: EvaluatorStats,
-    /// Per-level / per-op timing breakdown.
+    /// Per-op timing breakdown.
     pub timing: TimingBreakdown,
-}
-
-/// Executes instruction schedules on a pool of worker threads.
-#[derive(Debug, Clone, Copy)]
-pub struct WavefrontExecutor {
-    threads: usize,
-}
-
-impl WavefrontExecutor {
-    /// Creates an executor with the given worker-thread count (clamped to at
-    /// least one).
-    pub fn new(threads: usize) -> Self {
-        WavefrontExecutor {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs a schedule against a register file whose pre-bound slots are
-    /// filled (`initial[slot] = Some(..)` for every client-side value).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`FheError`] any worker hit (typically a missing
-    /// Galois key); remaining work is abandoned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule references a slot that is neither pre-bound nor
-    /// produced by an earlier level — [`Schedule::lower`] guarantees this
-    /// never holds for well-formed inputs. The check runs up front on the
-    /// calling thread: a panic inside a scoped worker would strand the other
-    /// workers at the level barrier, so misuse must never reach the pool.
-    pub fn execute(
-        &self,
-        schedule: &Schedule,
-        initial: Vec<Option<Register>>,
-        res: &ExecResources<'_>,
-    ) -> Result<WavefrontOutcome, FheError> {
-        let mut rf = RegisterFile::new(initial, schedule);
-        validate_operands(schedule, &rf);
-
-        // More workers than the widest level can never help.
-        let workers = self.threads.min(schedule.max_width()).max(1);
-        let result = if workers == 1 {
-            self.execute_single(schedule, &rf, res)
-        } else {
-            self.execute_parallel(schedule, &rf, res, workers)
-        };
-        // On success, take the output before sweeping the file; on failure
-        // (error, cancellation, injected fault) leave it in place so the
-        // sweep reclaims it too. Either way every register still held by the
-        // file goes back to the pool — an aborted request must not leak its
-        // buffers.
-        let output = result.as_ref().ok().map(|_| {
-            rf.take_output()
-                .expect("output register is pre-bound or produced by the schedule")
-        });
-        let mut arena = res.arenas.checkout();
-        rf.recycle_remaining(&mut arena);
-        res.arenas.restore(arena);
-        let (stats, timing) = result?;
-        Ok(WavefrontOutcome {
-            output: output.expect("output taken on the success path"),
-            stats,
-            timing,
-        })
-    }
-
-    fn execute_single(
-        &self,
-        schedule: &Schedule,
-        rf: &RegisterFile,
-        res: &ExecResources<'_>,
-    ) -> Result<(EvaluatorStats, TimingBreakdown), FheError> {
-        let mut evaluator = Evaluator::with_arena(res.ctx, res.arenas.checkout());
-        let mut calibration = CalibratedCostModel::new();
-        let mut tracer = res
-            .trace
-            .map(|sink| TraceBuffer::new(sink, "wavefront worker 0"));
-        let mut instr_times = vec![Duration::ZERO; schedule.instrs().len()];
-        let mut levels = Vec::with_capacity(schedule.level_count());
-        let mut failure: Option<FheError> = None;
-        'levels: for (level, range) in schedule.levels().iter().enumerate() {
-            let width = range.end - range.start;
-            // A single instruction stream still uses the full requested
-            // thread budget *inside* heavy ops: narrow levels are exactly
-            // where intra-op chunking replaces idle wavefront workers.
-            let intra_op_threads = intra_op_budget(self.threads, width);
-            evaluator.set_intra_op_threads(intra_op_threads);
-            let started = Instant::now();
-            for (offset, si) in schedule.instrs()[range.clone()].iter().enumerate() {
-                let instr_started = Instant::now();
-                match dispatch_instr(si, rf, &mut evaluator, res, &mut calibration) {
-                    Ok(register) => {
-                        let elapsed = instr_started.elapsed();
-                        instr_times[range.start + offset] = elapsed;
-                        if let Some(tracer) = tracer.as_mut() {
-                            tracer.record(
-                                si.instr.label(),
-                                "instr",
-                                instr_started,
-                                elapsed,
-                                Some(range.start + offset),
-                                None,
-                                Some(intra_op_threads),
-                                None,
-                            );
-                        }
-                        publish_and_reap(rf, si, register, &mut evaluator);
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break 'levels;
-                    }
-                }
-            }
-            levels.push(LevelTiming {
-                level,
-                instructions: width,
-                wall: started.elapsed(),
-                intra_op_threads,
-            });
-        }
-        res.arenas.restore(evaluator.take_arena());
-        if let Some(error) = failure {
-            return Err(error);
-        }
-        let timing = TimingBreakdown {
-            scheduler: SchedulerKind::Leveled,
-            threads: 1,
-            wall: levels.iter().map(|l| l.wall).sum(),
-            levels,
-            per_op: calibration,
-            instr_times,
-            queue_waits: Vec::new(),
-            steals: 0,
-            reclaimed_slack: Duration::ZERO,
-            intra_op_splits: evaluator.intra_op_splits(),
-        };
-        Ok((evaluator.stats(), timing))
-    }
-
-    fn execute_parallel(
-        &self,
-        schedule: &Schedule,
-        rf: &RegisterFile,
-        res: &ExecResources<'_>,
-        workers: usize,
-    ) -> Result<(EvaluatorStats, TimingBreakdown), FheError> {
-        let cursors: Vec<AtomicUsize> = schedule
-            .levels()
-            .iter()
-            .map(|_| AtomicUsize::new(0))
-            .collect();
-        let abort = AtomicBool::new(false);
-        let failure: Mutex<Option<FheError>> = Mutex::new(None);
-        // Workers plus the coordinating thread, which only timestamps levels.
-        let barrier = Barrier::new(workers + 1);
-        let merged: Mutex<(EvaluatorStats, CalibratedCostModel, Vec<Duration>, u64)> =
-            Mutex::new((
-                EvaluatorStats::default(),
-                CalibratedCostModel::new(),
-                vec![Duration::ZERO; schedule.instrs().len()],
-                0,
-            ));
-        let requested_threads = self.threads;
-
-        let mut levels = Vec::with_capacity(schedule.level_count());
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let cursors = &cursors;
-                let abort = &abort;
-                let failure = &failure;
-                let barrier = &barrier;
-                let merged = &merged;
-                scope.spawn(move || {
-                    let mut evaluator = Evaluator::with_arena(res.ctx, res.arenas.checkout());
-                    let mut calibration = CalibratedCostModel::new();
-                    let mut tracer = res
-                        .trace
-                        .map(|sink| TraceBuffer::new(sink, format!("wavefront worker {worker}")));
-                    let mut timed: Vec<(usize, Duration)> = Vec::new();
-                    for (level, range) in schedule.levels().iter().enumerate() {
-                        let len = range.end - range.start;
-                        // Levels narrower than the pool leave workers idle at
-                        // the barrier; the busy workers spend the spare
-                        // budget chunking inside their heavy ops instead.
-                        let grant = intra_op_budget(requested_threads, len);
-                        evaluator.set_intra_op_threads(grant);
-                        while !abort.load(Ordering::Relaxed) {
-                            let index = cursors[level].fetch_add(1, Ordering::Relaxed);
-                            if index >= len {
-                                break;
-                            }
-                            let si = &schedule.instrs()[range.start + index];
-                            let instr_started = Instant::now();
-                            match dispatch_instr(si, rf, &mut evaluator, res, &mut calibration) {
-                                Ok(register) => {
-                                    let elapsed = instr_started.elapsed();
-                                    timed.push((range.start + index, elapsed));
-                                    if let Some(tracer) = tracer.as_mut() {
-                                        tracer.record(
-                                            si.instr.label(),
-                                            "instr",
-                                            instr_started,
-                                            elapsed,
-                                            Some(range.start + index),
-                                            None,
-                                            Some(grant),
-                                            None,
-                                        );
-                                    }
-                                    publish_and_reap(rf, si, register, &mut evaluator);
-                                }
-                                Err(e) => {
-                                    let mut slot = failure.lock().unwrap();
-                                    slot.get_or_insert(e);
-                                    abort.store(true, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        barrier.wait();
-                    }
-                    res.arenas.restore(evaluator.take_arena());
-                    let mut m = merged.lock().unwrap();
-                    m.0.merge(&evaluator.stats());
-                    m.1.merge(&calibration);
-                    for (index, duration) in timed {
-                        m.2[index] = duration;
-                    }
-                    m.3 += evaluator.intra_op_splits();
-                });
-            }
-
-            let mut previous = Instant::now();
-            for (level, range) in schedule.levels().iter().enumerate() {
-                barrier.wait();
-                let now = Instant::now();
-                let width = range.end - range.start;
-                levels.push(LevelTiming {
-                    level,
-                    instructions: width,
-                    wall: now - previous,
-                    intra_op_threads: intra_op_budget(requested_threads, width),
-                });
-                previous = now;
-            }
-        });
-
-        if let Some(error) = failure.into_inner().unwrap() {
-            return Err(error);
-        }
-        let (stats, calibration, instr_times, intra_op_splits) = merged.into_inner().unwrap();
-        Ok((
-            stats,
-            TimingBreakdown {
-                scheduler: SchedulerKind::Leveled,
-                threads: workers,
-                wall: levels.iter().map(|l| l.wall).sum(),
-                levels,
-                per_op: calibration,
-                instr_times,
-                queue_waits: Vec::new(),
-                steals: 0,
-                reclaimed_slack: Duration::ZERO,
-                intra_op_splits,
-            },
-        ))
-    }
-}
-
-/// The intra-op worker budget of a level: spare threads per busy worker
-/// when the level is narrower than the requested pool (`1` when the level
-/// is at least as wide as the pool — instruction-level parallelism already
-/// covers the cores).
-fn intra_op_budget(requested_threads: usize, level_width: usize) -> usize {
-    (requested_threads / level_width.max(1)).max(1)
 }
 
 /// Panics (on the calling thread, before any worker spawns) if an
@@ -813,12 +466,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The instruction-dispatch wrapper both executors call instead of
+/// The instruction-dispatch wrapper the executor calls instead of
 /// [`run_instr`] directly: checks the cancellation token (so a cancelled or
 /// deadline-expired request stops scheduling mid-flight), runs the fault
 /// plan's dispatch hook, and isolates panics — injected or genuine — behind
 /// `catch_unwind`, converting them into [`FheError::WorkerPanic`] so they
-/// flow through the executors' ordinary error/abort machinery (which wakes
+/// flow through the executor's ordinary error/abort machinery (which wakes
 /// peer workers and restores arenas) instead of stranding scoped threads.
 pub(crate) fn dispatch_instr(
     si: &ScheduledInstr,
@@ -844,10 +497,9 @@ pub(crate) fn dispatch_instr(
     }
 }
 
-/// Executes one instruction against the register file (shared by the
-/// wavefront and dataflow executors — both guarantee operands are written
-/// before an instruction runs).
-pub(crate) fn run_instr(
+/// Executes one instruction against the register file (the executor
+/// guarantees operands are written before an instruction runs).
+fn run_instr(
     si: &ScheduledInstr,
     rf: &RegisterFile,
     evaluator: &mut Evaluator,

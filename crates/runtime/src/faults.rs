@@ -8,7 +8,7 @@
 //!
 //! * [`CancellationToken`] — a cloneable flag + optional deadline carried in
 //!   [`ExecResources`](crate::ExecResources) and checked at every instruction
-//!   dispatch by both executors, so a cancelled request stops scheduling its
+//!   dispatch by the executor, so a cancelled request stops scheduling its
 //!   remaining instructions *mid-flight* rather than only at dequeue.
 //! * [`FaultPlan`] — a hermetic, seeded fault-injection plan (panic at
 //!   dispatch N, artificial latency spikes, forced queue-full rejections,
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 ///
 /// Clones share state: cancelling any clone cancels them all. The token is
 /// checked by [`check`](CancellationToken::check) at instruction-dispatch
-/// granularity inside both executors, which is what makes mid-flight
+/// granularity inside the executor, which is what makes mid-flight
 /// cancellation possible without interrupting an individual homomorphic op.
 #[derive(Debug, Clone, Default)]
 pub struct CancellationToken {
@@ -126,7 +126,7 @@ struct PlanInner {
     kill_worker_budget: AtomicU64,
     /// Tokens to cancel when the dispatch counter reaches the given index.
     cancel_at: Mutex<Vec<(u64, CancellationToken)>>,
-    /// Instructions dispatched under this plan, across all executors and
+    /// Instructions dispatched under this plan, across all executor runs and
     /// worker threads. This is the telemetry the cancellation acceptance
     /// test asserts against.
     dispatched: AtomicU64,
@@ -248,11 +248,11 @@ impl FaultPlan {
             .is_ok()
     }
 
-    /// The dispatch hook, called by both executors immediately before each
+    /// The dispatch hook, called by the executor immediately before each
     /// instruction runs. Increments the dispatch counter, applies any
     /// registered token cancellations and latency spikes for this index, and
     /// **panics deliberately** when the index is a planned panic point — the
-    /// executors run this under `catch_unwind` and convert the panic into
+    /// executor runs this under `catch_unwind` and converts the panic into
     /// [`FheError::WorkerPanic`].
     pub fn before_instr(&self) {
         let index = self.inner.dispatched.fetch_add(1, Ordering::AcqRel);

@@ -9,13 +9,14 @@
 //! literature that transfer directly to FHE serving:
 //!
 //! 1. **Two-level parallelism** (after Bogdanov et al., *Algorithms of
-//!    Two-Level Parallelization for DSMC*): the coarse level runs many
-//!    independent encrypted requests against one compiled program
-//!    ([`BatchExecutor`]); the fine level runs the independent homomorphic
-//!    operations inside one request concurrently — barrier-free
-//!    dependency-counting work stealing by default ([`DataflowExecutor`]),
-//!    or the level-synchronized [`WavefrontExecutor`], both over the same
-//!    lowered [`Schedule`] and bit-identical to sequential execution.
+//!    Two-Level Parallelization for DSMC*), with one mechanism per level:
+//!    the coarse level runs many independent encrypted requests against one
+//!    compiled program on the persistent workers of a [`ServingEngine`];
+//!    the fine level runs the independent homomorphic operations inside one
+//!    request concurrently through the barrier-free, dependency-counting,
+//!    work-stealing [`DataflowExecutor`] over the lowered [`Schedule`]. With
+//!    one worker the executor is the sequential baseline; at every worker
+//!    count its outputs are bit-identical to it.
 //! 2. **Timer-augmented costs** (after McDoniel & Bientinesi, *A
 //!    Timer-Augmented Cost Function for Load Balanced DSMC*): the static
 //!    per-operator cost table the optimizer ranks rewrites with is replaced
@@ -38,9 +39,8 @@
 //!
 //! The crate deliberately depends only on `chehab-ir` (for the circuit DAG
 //! and cost tables) and `chehab-fhe` (for the evaluator): `chehab-core`
-//! integrates it behind `CompiledProgram::execute_parallel` /
-//! `CompiledProgram::execute_batch`, and re-exports it through the `chehab`
-//! facade as `chehab::runtime`.
+//! integrates it behind `FheSession::run` / `FheSession::serve`, and the
+//! `chehab` facade re-exports it as `chehab::runtime`.
 //!
 //! ## Example
 //!
@@ -51,10 +51,11 @@
 //! use chehab_fhe::{BfvParameters, Decryptor, Encryptor, FheContext, KeyGenerator};
 //! use chehab_ir::{parse, CircuitDag};
 //! use chehab_runtime::{
-//!     lower_with_default_costs, ExecResources, Register, WavefrontExecutor,
+//!     lower_with_default_costs, DataflowExecutor, ExecResources, Register,
 //! };
 //!
-//! // (a*b) + (c*d): the two multiplications share a wavefront level.
+//! // (a*b) + (c*d): the two multiplications are independent and may run
+//! // concurrently.
 //! let expr = parse("(VecAdd (VecMul (Vec a b) (Vec c d)) (VecMul (Vec e f) (Vec g h)))").unwrap();
 //! let dag = CircuitDag::from_expr(&expr).eliminate_dead_code();
 //!
@@ -107,7 +108,7 @@
 //!     // No fault injection.
 //!     faults: None,
 //! };
-//! let outcome = WavefrontExecutor::new(2).execute(&schedule, registers, &resources)?;
+//! let outcome = DataflowExecutor::new(2).execute(&schedule, registers, &resources)?;
 //! let Register::Cipher(output) = outcome.output else { panic!("ciphertext output") };
 //! assert_eq!(ctx.decode(&decryptor.decrypt(&output)?, 2), vec![1 * 3 + 5 * 7, 2 * 4 + 6 * 8]);
 //! # Ok::<(), chehab_fhe::FheError>(())
@@ -116,7 +117,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod batching;
 mod calibrate;
 mod dataflow;
@@ -126,16 +126,12 @@ mod schedule;
 mod serving;
 pub mod telemetry;
 
-pub use batch::BatchExecutor;
 pub use batching::{
     lane_geometry, BatchPolicy, CoalescerConfig, CoalescerStats, LaneGeometry, RequestCoalescer,
 };
 pub use calibrate::{CalibratedCostModel, OpKind, OP_KINDS};
 pub use dataflow::{dynamic_intra_op_grant, DataflowExecutor};
-pub use exec::{
-    ExecResources, LevelTiming, PlainValue, Register, RegisterFile, SchedulerKind, TimingBreakdown,
-    WavefrontExecutor, WavefrontOutcome,
-};
+pub use exec::{ExecOutcome, ExecResources, PlainValue, Register, RegisterFile, TimingBreakdown};
 pub use faults::{CancellationToken, FaultPlan};
 pub use schedule::{
     data_kinds, lower_with_default_costs, CostTerms, Instr, Schedule, ScheduledInstr, Slot,

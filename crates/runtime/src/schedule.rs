@@ -327,12 +327,13 @@ impl Schedule {
     /// of `instrs()[i]`).
     ///
     /// Within each level the instructions are assigned
-    /// longest-processing-time-first to the earliest-free worker — the same
-    /// greedy policy the live work queue follows — and levels are separated
-    /// by barriers, so the projection is the sum of per-level makespans.
-    /// With measured (rather than modeled) durations this is the
-    /// timer-augmented load-balance estimate: on a machine with `workers`
-    /// free cores the wavefront executor's wall-clock converges to it.
+    /// longest-processing-time-first to the earliest-free worker and levels
+    /// are separated by barriers, so the projection is the sum of per-level
+    /// makespans: the wall-clock a level-synchronized execution would
+    /// converge to on `workers` free cores. With measured (rather than
+    /// modeled) durations this is the timer-augmented load-balance estimate
+    /// that [`crate::TimingBreakdown::reclaimed_slack`] compares the
+    /// dataflow projection against.
     ///
     /// # Panics
     ///
@@ -418,8 +419,8 @@ impl Schedule {
     }
 
     /// Per register slot: the number of distinct instructions that read it —
-    /// the schedule's **last-use analysis**. Executors seed a per-slot
-    /// countdown from this and decrement it once per completed consumer; the
+    /// the schedule's **last-use analysis**. The executor seeds a per-slot
+    /// countdown from this and decrements it once per completed consumer; the
     /// decrement that reaches zero marks the slot dead, and its buffers
     /// return to the arena (the output slot is exempt — it outlives the
     /// run). Slots nothing reads (count 0) are only the output and any
@@ -470,10 +471,9 @@ impl Schedule {
 
     /// The true critical-path (barrier-free, infinitely wide) makespan of
     /// this schedule under measured per-instruction latencies: the length of
-    /// the most expensive dependency chain. No executor — leveled or
-    /// dataflow — can beat this; the gap between it and
-    /// [`Schedule::makespan`] is the slack level barriers leave on the
-    /// table plus any width limit.
+    /// the most expensive dependency chain. No executor can beat this; the
+    /// gap between it and [`Schedule::makespan`] is the slack level barriers
+    /// leave on the table plus any width limit.
     ///
     /// # Panics
     ///

@@ -1,13 +1,13 @@
 //! The persistent serving front end: a bounded request queue drained by
 //! long-lived worker threads.
 //!
-//! [`BatchExecutor`](crate::BatchExecutor) parallelizes one *closed* batch —
-//! the caller owns the full request list up front and blocks until every
-//! result is back. Serving traffic is open-ended: requests arrive one at a
-//! time, the caller wants a handle back immediately, and the expensive
-//! per-program state (keys, leveled schedule, calibration) must stay alive
-//! between requests instead of being rebuilt per call. A [`ServingEngine`]
-//! provides exactly that shape:
+//! Serving traffic is open-ended: requests arrive one at a time, the caller
+//! wants a handle back immediately, and the expensive per-program state
+//! (keys, instruction schedule, calibration) must stay alive between
+//! requests instead of being rebuilt per call. A [`ServingEngine`] provides
+//! exactly that shape — it is the request-level half of the runtime's two
+//! levels of parallelism; the dataflow executor inside each request is the
+//! other:
 //!
 //! - [`ServingEngine::submit`] enqueues a request into a **bounded** queue
 //!   (back-pressure: it blocks while the queue is at capacity) and returns a
@@ -47,7 +47,7 @@ pub struct ServingConfig {
     /// Per-request deadline: each submission's [`CancellationToken`] is
     /// stamped `now + deadline` at enqueue, so a request that outlives it
     /// stops executing mid-flight (when the handler threads the token into
-    /// the executors) and is counted in
+    /// the executor) and is counted in
     /// [`ResilienceSnapshot::deadline_missed`]. `None` (the default) runs
     /// every request to completion.
     pub deadline: Option<Duration>,
@@ -594,7 +594,7 @@ impl<R> RequestHandle<R> {
     }
 
     /// Requests cancellation: flags the request's [`CancellationToken`], so
-    /// a handler that threads it into the executors stops scheduling the
+    /// a handler that threads it into the executor stops scheduling the
     /// request's remaining instructions mid-flight. Cancellation is
     /// cooperative and asynchronous — the handle still completes (typically
     /// with `FheError::Cancelled` on the FHE serving path), so callers
@@ -823,63 +823,21 @@ impl<T, R> std::fmt::Debug for ServingEngine<T, R> {
 
 impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
     /// Starts an engine: spawns `config.workers` persistent threads that
-    /// drain the queue through `handler` (called with the request id and the
-    /// request).
-    pub fn new<F>(config: ServingConfig, handler: F) -> Self
-    where
-        F: Fn(u64, T) -> R + Send + Sync + 'static,
-    {
-        Self::with_scheduler_metrics(config, Arc::new(SchedulerMetrics::default()), handler)
-    }
-
-    /// Like [`ServingEngine::new`], with an externally created
-    /// [`SchedulerMetrics`] sink: the caller keeps a clone of the `Arc`
-    /// inside `handler` and records each request's scheduler figures, and
-    /// [`ServingEngine::stats`] folds the aggregate into
-    /// [`ServingStats::scheduler`]. (The handler is constructed before the
-    /// engine exists, so the sink cannot be handed out afterwards.)
-    pub fn with_scheduler_metrics<F>(
-        config: ServingConfig,
-        scheduler: Arc<SchedulerMetrics>,
-        handler: F,
-    ) -> Self
-    where
-        F: Fn(u64, T) -> R + Send + Sync + 'static,
-    {
-        Self::with_telemetry(config, scheduler, None, handler)
-    }
-
-    /// The full-telemetry constructor: like
-    /// [`ServingEngine::with_scheduler_metrics`], plus an optional
-    /// [`TraceSink`] — when set, every worker records a request-level span
-    /// per served job (on its own trace track, with the request's queue
-    /// wait attached), and the handler typically threads the same sink into
-    /// the executors for instruction-level spans.
-    pub fn with_telemetry<F>(
-        config: ServingConfig,
-        scheduler: Arc<SchedulerMetrics>,
-        trace: Option<Arc<TraceSink>>,
-        handler: F,
-    ) -> Self
-    where
-        F: Fn(u64, T) -> R + Send + Sync + 'static,
-    {
-        Self::with_resilience(
-            config,
-            scheduler,
-            trace,
-            Arc::new(ResilienceStats::default()),
-            move |id, request, _token| handler(id, request),
-        )
-    }
-
-    /// The resilience-aware constructor the FHE serving path uses: the
-    /// handler additionally receives the request's [`CancellationToken`]
-    /// (stamped with the configured deadline at enqueue), so it can thread
-    /// the token into the executors and stop a cancelled or expired request
-    /// mid-flight; `resilience` is an externally shared counter sink (one
-    /// per session, mirrored into Prometheus counters by the caller).
-    pub fn with_resilience<F>(
+    /// drain the queue through `handler`, called with the request id, the
+    /// request and its [`CancellationToken`] (stamped with the configured
+    /// deadline at enqueue, so the handler can thread it into the executor
+    /// and stop a cancelled or expired request mid-flight).
+    ///
+    /// The sinks are created by the caller because the handler is built
+    /// before the engine exists: `scheduler` collects the per-request
+    /// scheduler figures the handler records and folds into
+    /// [`ServingStats::scheduler`]; `trace`, when set, receives one
+    /// request-level span per served job (on the worker's own trace track,
+    /// with the request's queue wait attached); `resilience` counts
+    /// cancellations, missed deadlines, shed submissions and worker panics
+    /// (one sink per session on the FHE serving path, so it aggregates
+    /// across engines).
+    pub fn new<F>(
         config: ServingConfig,
         scheduler: Arc<SchedulerMetrics>,
         trace: Option<Arc<TraceSink>>,
@@ -1102,16 +1060,14 @@ impl<T, R> ServingEngine<T, R> {
         }
     }
 
-    /// The engine's resilience counter sink (the same one passed to
-    /// [`ServingEngine::with_resilience`], or a private sink for engines
-    /// built with the other constructors).
+    /// The engine's resilience counter sink (the one passed to
+    /// [`ServingEngine::new`]).
     pub fn resilience_stats(&self) -> &Arc<ResilienceStats> {
         &self.shared.resilience
     }
 
-    /// The engine's scheduler-counter sink (the same one passed to
-    /// [`ServingEngine::with_scheduler_metrics`], or a private unused sink
-    /// for engines built with [`ServingEngine::new`]).
+    /// The engine's scheduler-counter sink (the one passed to
+    /// [`ServingEngine::new`]).
     pub fn scheduler_metrics(&self) -> &Arc<SchedulerMetrics> {
         &self.shared.scheduler
     }
@@ -1306,13 +1262,29 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// An engine with private sinks over a token-oblivious handler.
+    fn engine<F, T, R>(config: ServingConfig, handler: F) -> ServingEngine<T, R>
+    where
+        F: Fn(u64, T) -> R + Send + Sync + 'static,
+        T: Send + 'static,
+        R: Send + 'static,
+    {
+        ServingEngine::new(
+            config,
+            Arc::new(SchedulerMetrics::default()),
+            None,
+            Arc::new(ResilienceStats::default()),
+            move |id, request, _: &CancellationToken| handler(id, request),
+        )
+    }
+
     fn engine_with<F, T, R>(workers: usize, capacity: usize, handler: F) -> ServingEngine<T, R>
     where
         F: Fn(u64, T) -> R + Send + Sync + 'static,
         T: Send + 'static,
         R: Send + 'static,
     {
-        ServingEngine::new(ServingConfig::sized(workers, capacity), handler)
+        engine(ServingConfig::sized(workers, capacity), handler)
     }
 
     #[test]
@@ -1497,10 +1469,12 @@ mod tests {
     fn scheduler_metrics_aggregate_into_stats() {
         let metrics = Arc::new(SchedulerMetrics::default());
         let sink = Arc::clone(&metrics);
-        let engine: ServingEngine<u64, u64> = ServingEngine::with_scheduler_metrics(
+        let engine: ServingEngine<u64, u64> = ServingEngine::new(
             ServingConfig::sized(2, 8),
             Arc::clone(&metrics),
-            move |_, v| {
+            None,
+            Arc::new(ResilienceStats::default()),
+            move |_, v, _: &CancellationToken| {
                 // A handler that executed through the dataflow runtime
                 // records its request's scheduler figures.
                 sink.record(
@@ -1556,13 +1530,12 @@ mod tests {
 
     #[test]
     fn cancelled_and_expired_requests_are_classified_per_outcome() {
-        use crate::faults::CancellationToken;
         let config = ServingConfig {
             deadline: Some(Duration::from_millis(5)),
             ..ServingConfig::sized(1, 8)
         };
         // A token-aware handler: reports how the token looked when it ran.
-        let engine: ServingEngine<u64, &'static str> = ServingEngine::with_resilience(
+        let engine: ServingEngine<u64, &'static str> = ServingEngine::new(
             config,
             Arc::new(SchedulerMetrics::default()),
             None,
@@ -1612,7 +1585,7 @@ mod tests {
             shed_infeasible: true,
             ..ServingConfig::sized(1, 16)
         };
-        let engine = ServingEngine::new(config, |_, slow: bool| {
+        let engine = engine(config, |_, slow: bool| {
             if slow {
                 std::thread::sleep(Duration::from_millis(50));
             }
@@ -1641,7 +1614,7 @@ mod tests {
             faults: Some(plan.clone()),
             ..ServingConfig::sized(1, 4)
         };
-        let engine = ServingEngine::new(config, |_, v: u32| v * 2);
+        let engine = engine(config, |_, v: u32| v * 2);
         // Two forced rejections, then the real (empty) queue admits it.
         let handle = engine
             .submit_with_retry(21, 5, Duration::from_millis(1))
@@ -1665,7 +1638,7 @@ mod tests {
             faults: Some(plan.clone()),
             ..ServingConfig::sized(1, 8)
         };
-        let engine = ServingEngine::new(config, |_, v: u32| v + 1);
+        let engine = engine(config, |_, v: u32| v + 1);
         // The lone worker draws the kill on the first job: its waiter must
         // resolve as abandoned, not block forever.
         let doomed = engine.submit(1).unwrap();
@@ -1687,7 +1660,7 @@ mod tests {
             faults: Some(plan),
             ..ServingConfig::sized(1, 8)
         };
-        let engine = ServingEngine::new(config, |_, v: u32| v);
+        let engine = engine(config, |_, v: u32| v);
         let doomed = engine.submit(7).unwrap();
         // Spin until the worker has died with the job.
         while !doomed.is_finished() {

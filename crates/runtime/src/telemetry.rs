@@ -9,7 +9,7 @@
 //! common substrate those consumers converge on:
 //!
 //! - **Spans** ([`SpanEvent`] / [`TraceSink`] / [`TraceBuffer`]): when a
-//!   caller opts in by handing the executors a [`TraceSink`], every worker
+//!   caller opts in by handing the executor a [`TraceSink`], every worker
 //!   records instruction-level spans (operation label, instruction index,
 //!   queue wait, intra-op thread grant, steal provenance) into a private,
 //!   lock-free [`TraceBuffer`] that flushes to the sink once at the end of
@@ -30,7 +30,7 @@
 //!   behind one export surface.
 //!
 //! Trace capture never perturbs results: spans only *observe* timings, and
-//! the executors' outputs are bit-identical at every worker count and steal
+//! the executor's outputs are bit-identical at every worker count and steal
 //! order by construction, so a traced run decrypts to exactly the bytes an
 //! untraced run does.
 
@@ -434,14 +434,14 @@ pub struct SpanEvent {
     pub stolen_from: Option<usize>,
 }
 
-/// The shared collection point of one traced run: executors' per-worker
+/// The shared collection point of one traced run: the executor's per-worker
 /// [`TraceBuffer`]s flush into it, and [`TraceSink::into_trace`] yields the
 /// finished [`Trace`].
 ///
 /// A sink carries the run's epoch (the zero point of every span timestamp)
 /// and allocates one track per recording thread. It is installed by setting
 /// [`ExecResources::trace`](crate::ExecResources::trace) — when absent
-/// (the default), the executors skip all span recording at the cost of one
+/// (the default), the executor skips all span recording at the cost of one
 /// null check per instruction.
 #[derive(Debug)]
 pub struct TraceSink {

@@ -22,7 +22,7 @@ fn main() {
     let stats = session.stats();
     println!(
         "== {}: session up in {:.2?} keygen + {:.2?} lowering; {} instructions across {} \
-         wavefront levels (width {})",
+         topological levels (width {})",
         session.program().name(),
         stats.keygen_time,
         stats.lowering_time,

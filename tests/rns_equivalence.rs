@@ -14,12 +14,12 @@
 //! 3. **End-to-end sweep** — all 46 benchsuite kernels at limb counts 2 and
 //!    3 produce outputs, operation counts, noise accounting and decryption
 //!    outcomes identical to the k=1 engine, under the process-wide policy
-//!    forced to scalar and to the vector back end, at 1 and 4 threads under
-//!    both schedulers. Multi-limb payloads only widen the cost-model
+//!    forced to scalar and to the vector back end, at 1, 2 and 4 dataflow
+//!    threads. Multi-limb payloads only widen the cost-model
 //!    arithmetic; the slot pipeline is exact and must not notice.
 
 use chehab::benchsuite::{self, Benchmark};
-use chehab::compiler::{Compiler, ExecOptions, SchedulerKind};
+use chehab::compiler::{Compiler, ExecOptions};
 use chehab::fhe::poly::{p_add, p_mul, p_sub, Domain, MODULUS};
 use chehab::fhe::rns::{add_mod, neg_mod};
 use chehab::fhe::{BfvParameters, CtPayload, ModulusChain, SimdPolicy};
@@ -244,7 +244,7 @@ fn inputs_of(benchmark: &Benchmark, seed: u64) -> HashMap<String, i64> {
 /// All 46 benchsuite kernels end to end at limb counts 2 and 3: outputs,
 /// operation counts, noise accounting and decryption outcomes are identical
 /// to the k=1 engine, under the process-wide policy forced to scalar and to
-/// the vector back end, across 1/4 threads and both schedulers.
+/// the vector back end, across 1/2/4 dataflow threads.
 #[test]
 fn every_kernel_is_identical_across_limb_counts_policies_and_schedulers() {
     let base = BfvParameters {
@@ -294,17 +294,11 @@ fn every_kernel_is_identical_across_limb_counts_policies_and_schedulers() {
                     "{}: decryption outcome depends on the limb count (k={k})",
                     benchmark.id()
                 );
-                for (threads, scheduler) in [
-                    (1usize, SchedulerKind::Dataflow),
-                    (4, SchedulerKind::Dataflow),
-                    (4, SchedulerKind::Leveled),
-                ] {
-                    let options = ExecOptions::sequential()
-                        .with_threads_per_request(threads)
-                        .with_scheduler(scheduler);
+                for threads in [1usize, 4, 2] {
+                    let options = ExecOptions::sequential().with_threads_per_request(threads);
                     let parallel = session.run_parallel(&inputs, &options).unwrap_or_else(|e| {
                         panic!(
-                            "{}: k={k} {threads}-thread {scheduler:?} run failed under \
+                            "{}: k={k} {threads}-thread run failed under \
                              {policy:?}: {e}",
                             benchmark.id()
                         )
@@ -313,14 +307,14 @@ fn every_kernel_is_identical_across_limb_counts_policies_and_schedulers() {
                         parallel.outputs,
                         oracle.outputs,
                         "{}: outputs diverged at k={k}, {threads} threads, \
-                         {scheduler:?}/{policy:?}",
+                         {policy:?}",
                         benchmark.id()
                     );
                     assert_eq!(
                         parallel.operation_stats,
                         oracle.operation_stats,
                         "{}: operation counts diverged at k={k}, {threads} threads, \
-                         {scheduler:?}/{policy:?}",
+                         {policy:?}",
                         benchmark.id()
                     );
                 }

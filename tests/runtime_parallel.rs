@@ -1,12 +1,11 @@
 //! Equivalence and scheduling tests for the parallel execution runtime:
 //! session-based parallel execution must produce bit-identical outputs to
-//! the sequential path on every benchsuite kernel, batches must match
-//! individual runs, the historical `execute*` shims must match the session
-//! API they wrap, and every lowered schedule must respect the wavefront
-//! invariant (operands in strictly earlier levels).
+//! the sequential path on every benchsuite kernel, and every lowered
+//! schedule must respect the wavefront invariant (operands in strictly
+//! earlier levels).
 
 use chehab::benchsuite::{self, Benchmark};
-use chehab::compiler::{BatchOptions, CompiledProgram, Compiler, ExecOptions, FheSession};
+use chehab::compiler::{CompiledProgram, Compiler, ExecOptions, FheSession};
 use chehab::fhe::BfvParameters;
 use chehab::runtime::Instr;
 use std::collections::HashMap;
@@ -166,92 +165,25 @@ fn schedules_respect_the_wavefront_invariant_on_every_kernel() {
     }
 }
 
-/// Two-level batch execution through one session matches one-at-a-time
-/// execution, under every thread-allocation split.
-#[test]
-fn batch_execution_matches_individual_execution() {
-    let benchmark = benchsuite::by_id("Dot Product 8").expect("known benchmark id");
-    let session = session_of(&benchmark);
-    let input_sets: Vec<HashMap<String, i64>> = (0..8)
-        .map(|seed| inputs_of(&benchmark, 100 + seed))
-        .collect();
-    let solo: Vec<Vec<u64>> = input_sets
-        .iter()
-        .map(|inputs| session.run(inputs).unwrap().outputs)
-        .collect();
-    for (request_threads, threads_per_request) in [(1, 4), (4, 1), (2, 2)] {
-        let options = ExecOptions::new()
-            .with_request_threads(request_threads)
-            .with_threads_per_request(threads_per_request);
-        let reports = session.run_batch(&input_sets, &options).unwrap();
-        let outputs: Vec<Vec<u64>> = reports.into_iter().map(|r| r.outputs).collect();
-        assert_eq!(
-            outputs, solo,
-            "batch ({request_threads}x{threads_per_request}) diverged from solo runs"
-        );
-    }
-}
-
-/// The historical `execute` / `execute_parallel` / `execute_batch` shims
-/// match the session API they now wrap.
-#[test]
-fn execute_shims_match_the_session_api() {
-    let params = test_params();
-    let benchmark = benchsuite::by_id("Linear Reg. 4").expect("known benchmark id");
-    let compiled = compile_initial(&benchmark);
-    let session = compiled.session(&params).unwrap();
-    let inputs = inputs_of(&benchmark, 41);
-
-    let from_session = session.run(&inputs).unwrap();
-    let from_shim = compiled.execute(&inputs, &params).unwrap();
-    assert_eq!(from_shim.outputs, from_session.outputs);
-    assert_eq!(from_shim.operation_stats, from_session.operation_stats);
-
-    let parallel_shim = compiled.execute_parallel(&inputs, &params, 4).unwrap();
-    assert_eq!(parallel_shim.outputs, from_session.outputs);
-
-    let input_sets: Vec<HashMap<String, i64>> = (0..4)
-        .map(|seed| inputs_of(&benchmark, 200 + seed))
-        .collect();
-    let batch_options = BatchOptions {
-        request_threads: 2,
-        threads_per_request: 1,
-    };
-    let shim_batch = compiled
-        .execute_batch(&input_sets, &params, &batch_options)
-        .unwrap();
-    let session_batch = session
-        .run_batch(&input_sets, &ExecOptions::from(batch_options))
-        .unwrap();
-    for (a, b) in shim_batch.iter().zip(&session_batch) {
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.operation_stats, b.operation_stats);
-    }
-}
-
-/// The timing breakdown is populated and matches the schedule under both
-/// scheduler kinds; the session accumulates calibration across requests.
+/// The timing breakdown is populated and matches the schedule at one and at
+/// four workers; the session accumulates calibration across requests.
 #[test]
 fn timing_breakdown_reflects_the_schedule() {
-    use chehab::compiler::SchedulerKind;
     let benchmark = benchsuite::by_id("Linear Reg. 4").expect("known benchmark id");
     let session = session_of(&benchmark);
     let schedule = session.schedule();
 
-    // Dataflow (the default): no levels, but per-instruction run spans and
-    // queue waits, and a reclaimed-slack figure versus the leveled makespan.
+    // Per-instruction run spans and queue waits, and a reclaimed-slack
+    // figure versus the leveled makespan.
     let dataflow = session
         .run_parallel(
             &inputs_of(&benchmark, 3),
             &ExecOptions::sequential().with_threads_per_request(4),
         )
         .unwrap();
-    assert_eq!(dataflow.timing.scheduler, SchedulerKind::Dataflow);
-    assert!(dataflow.timing.levels.is_empty());
     assert_eq!(dataflow.timing.instr_times.len(), schedule.instrs().len());
     assert_eq!(dataflow.timing.queue_waits.len(), schedule.instrs().len());
     assert!(dataflow.timing.wall > std::time::Duration::ZERO);
-    assert!(dataflow.timing.total_wall() == dataflow.timing.wall);
     assert!(dataflow.timing.queue_wait_percentile(0.5).is_some());
     assert_eq!(
         dataflow.timing.reclaimed_slack,
@@ -262,27 +194,11 @@ fn timing_breakdown_reflects_the_schedule() {
             )
     );
 
-    let report = session
-        .run_parallel(
-            &inputs_of(&benchmark, 3),
-            &ExecOptions::sequential()
-                .with_threads_per_request(4)
-                .with_scheduler(SchedulerKind::Leveled),
-        )
-        .unwrap();
-    assert_eq!(report.timing.scheduler, SchedulerKind::Leveled);
-    assert_eq!(report.timing.levels.len(), schedule.level_count());
-    assert_eq!(
-        report
-            .timing
-            .levels
-            .iter()
-            .map(|l| l.instructions)
-            .sum::<usize>(),
-        schedule.instrs().len()
-    );
+    // The sequential run: one worker, nothing to steal.
+    let report = session.run(&inputs_of(&benchmark, 3)).unwrap();
+    assert_eq!(report.timing.threads, 1);
+    assert_eq!(report.timing.instr_times.len(), schedule.instrs().len());
     assert_eq!(report.timing.steals, 0);
-    assert!(report.timing.queue_waits.is_empty());
     // One sample per instruction, not per evaluator call: packs and
     // multi-part rotations bundle several calls.
     assert!(report.timing.per_op.sample_count() > 0);
@@ -294,8 +210,8 @@ fn timing_breakdown_reflects_the_schedule() {
         .to_cost_model(&chehab::ir::CostModel::default());
     assert!(model.op_costs.vec_mul_ct_ct > 0.0);
 
-    // The session-level calibration is cumulative: every request (dataflow
-    // and leveled alike) adds one sample set.
+    // The session-level calibration is cumulative: every request adds one
+    // sample set.
     let per_request = report.timing.per_op.sample_count();
     assert_eq!(dataflow.timing.per_op.sample_count(), per_request);
     session.run(&inputs_of(&benchmark, 4)).unwrap();

@@ -22,10 +22,10 @@ fn inputs_of(benchmark: &Benchmark, seed: u64) -> HashMap<String, i64> {
         .collect()
 }
 
-/// One session run N times yields reports bit-identical to fresh per-call
-/// execution (the historical shim), over every benchsuite kernel: outputs,
-/// operation counts, noise accounting and key counts all match, so session
-/// reuse is purely a latency optimization.
+/// One session run N times yields reports bit-identical to a throwaway
+/// session per call, over every benchsuite kernel: outputs, operation
+/// counts, noise accounting and key counts all match, so session reuse is
+/// purely a latency optimization.
 #[test]
 fn session_reuse_is_bit_identical_to_fresh_execution_on_every_kernel() {
     let params = BfvParameters::insecure_test();
@@ -33,7 +33,8 @@ fn session_reuse_is_bit_identical_to_fresh_execution_on_every_kernel() {
         let compiled = Compiler::without_optimizer().compile(benchmark.id(), benchmark.program());
         let inputs = inputs_of(&benchmark, 71);
         let fresh = compiled
-            .execute(&inputs, &params)
+            .session(&params)
+            .and_then(|session| session.run(&inputs))
             .unwrap_or_else(|e| panic!("{}: fresh execution failed: {e}", benchmark.id()));
         let session = compiled
             .session(&params)

@@ -44,7 +44,8 @@ fn keygen_and_lowering_happen_exactly_once_per_session() {
     let lowering_time = session.stats().lowering_time;
 
     // ...and no request after that regenerates anything, through any entry
-    // point: run, run_parallel, run_batch, or the serving engine.
+    // point: run, run_parallel, or the serving engine with one or two
+    // dataflow workers per request.
     for inputs in &input_sets {
         session.run(inputs).unwrap();
     }
@@ -54,22 +55,25 @@ fn keygen_and_lowering_happen_exactly_once_per_session() {
             &ExecOptions::sequential().with_threads_per_request(2),
         )
         .unwrap();
-    session
-        .run_batch(&input_sets, &ExecOptions::new().with_request_threads(2))
-        .unwrap();
-    let engine = session.serve(&ExecOptions::new().with_request_threads(2));
-    let handles: Vec<_> = input_sets
-        .iter()
-        .map(|inputs| {
-            engine
-                .submit(inputs.clone())
-                .expect("engine accepts while live")
-        })
-        .collect();
-    for handle in handles {
-        handle.wait().unwrap();
+    for threads_per_request in [2, 1] {
+        let engine = session.serve(
+            &ExecOptions::new()
+                .with_request_threads(2)
+                .with_threads_per_request(threads_per_request),
+        );
+        let handles: Vec<_> = input_sets
+            .iter()
+            .map(|inputs| {
+                engine
+                    .submit(inputs.clone())
+                    .expect("engine accepts while live")
+            })
+            .collect();
+        for handle in handles {
+            handle.wait().unwrap();
+        }
+        engine.shutdown();
     }
-    engine.shutdown();
 
     assert_eq!(
         KeyGenerator::instances_created(),
@@ -83,12 +87,16 @@ fn keygen_and_lowering_happen_exactly_once_per_session() {
         "schedule lowering is a one-time construction cost"
     );
 
-    // The historical shim, by contrast, rebuilds a session (and its keys)
-    // on every call — that is exactly the per-request cost serving avoids.
-    compiled.execute(&input_sets[0], &params).unwrap();
+    // A throwaway session per call, by contrast, rebuilds the keys every
+    // time — that is exactly the per-request cost serving avoids.
+    compiled
+        .session(&params)
+        .unwrap()
+        .run(&input_sets[0])
+        .unwrap();
     assert_eq!(
         KeyGenerator::instances_created(),
         after_construction + 1,
-        "the execute shim pays keygen per call"
+        "a throwaway session pays keygen per call"
     );
 }

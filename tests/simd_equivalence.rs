@@ -1,7 +1,7 @@
 //! SIMD-vs-scalar equivalence tests for the hardware-floor arithmetic
 //! engine: the AVX2 stripe kernels and the lazy-reduction NTT must be
 //! **bit-identical** to the portable scalar/eager oracles, at every thread
-//! count, under both schedulers.
+//! count.
 //!
 //! Four angles:
 //!
@@ -21,7 +21,7 @@
 //!    outputs, operation counts and noise accounting with the process-wide
 //!    policy forced to scalar and to the vector back end
 //!    ([`SimdPolicy::set_global`], the test-side spelling of `CHEHAB_SIMD`),
-//!    at 1 and 4 threads under both schedulers. Only this test touches the
+//!    at 1, 2 and 4 dataflow threads. Only this test touches the
 //!    global policy; the others pass policies explicitly.
 //!
 //! On hardware without AVX2 the detected policy degrades to scalar and the
@@ -29,7 +29,7 @@
 //! plumbing.
 
 use chehab::benchsuite::{self, Benchmark};
-use chehab::compiler::{Compiler, ExecOptions, SchedulerKind};
+use chehab::compiler::{Compiler, ExecOptions};
 use chehab::fhe::poly::{Domain, NttTables, Poly, MODULUS};
 use chehab::fhe::{BfvParameters, CtPayload, ModulusChain, SimdPolicy};
 use rand::{Rng, SeedableRng};
@@ -249,7 +249,7 @@ fn inputs_of(benchmark: &Benchmark, seed: u64) -> HashMap<String, i64> {
 /// All 46 benchsuite kernels, end to end, with the process-wide policy
 /// forced to scalar and then to the vector back end: outputs, operation
 /// counts, noise accounting and decryption outcomes are identical, per
-/// policy across 1/4 threads and both schedulers, and across the two
+/// policy across 1/2/4 dataflow threads, and across the two
 /// policies.
 #[test]
 fn every_kernel_is_bit_identical_under_forced_scalar_and_vectorized_policies() {
@@ -270,30 +270,24 @@ fn every_kernel_is_bit_identical_under_forced_scalar_and_vectorized_policies() {
             let solo = session
                 .run(&inputs)
                 .unwrap_or_else(|e| panic!("{}: run failed under {policy:?}: {e}", benchmark.id()));
-            for (threads, scheduler) in [
-                (1usize, SchedulerKind::Dataflow),
-                (4, SchedulerKind::Dataflow),
-                (4, SchedulerKind::Leveled),
-            ] {
-                let options = ExecOptions::sequential()
-                    .with_threads_per_request(threads)
-                    .with_scheduler(scheduler);
+            for threads in [1usize, 4, 2] {
+                let options = ExecOptions::sequential().with_threads_per_request(threads);
                 let parallel = session.run_parallel(&inputs, &options).unwrap_or_else(|e| {
                     panic!(
-                        "{}: {threads}-thread {scheduler:?} run failed under {policy:?}: {e}",
+                        "{}: {threads}-thread run failed under {policy:?}: {e}",
                         benchmark.id()
                     )
                 });
                 assert_eq!(
                     parallel.outputs,
                     solo.outputs,
-                    "{}: outputs diverged at {threads} threads under {scheduler:?}/{policy:?}",
+                    "{}: outputs diverged at {threads} threads under {policy:?}",
                     benchmark.id()
                 );
                 assert_eq!(
                     parallel.operation_stats,
                     solo.operation_stats,
-                    "{}: operation counts diverged at {threads} threads under {scheduler:?}/{policy:?}",
+                    "{}: operation counts diverged at {threads} threads under {policy:?}",
                     benchmark.id()
                 );
             }

@@ -168,9 +168,10 @@ fn traced_serving_records_one_request_span_per_job() {
 
     let requests = 9usize;
     let sink = Arc::new(TraceSink::new());
-    let engine = session.serve_traced(
+    let engine = session.serve_resilient(
         &ExecOptions::new().with_request_threads(2),
         Some(Arc::clone(&sink)),
+        None,
     );
     let handles: Vec<_> = (0..requests)
         .map(|seed| {
